@@ -24,10 +24,10 @@ smoke:
 	$(GO) test -count=1 -run TestEndToEndSmoke ./cmd/bosphorusd
 
 # bench runs the perf-critical benchmarks (linearization, elimination
-# kernel, ElimLin, CDCL propagation/conflict families) with allocation
-# stats.
+# kernel, ElimLin and its occurrence index, CDCL propagation/conflict
+# families) with allocation stats.
 bench:
-	$(GO) test -run '^$$' -bench 'XL|RREF|ElimLin|PickElimVar' -benchmem \
+	$(GO) test -run '^$$' -bench 'XL|RREF|ElimLin' -benchmem \
 		./internal/anf ./internal/core ./internal/gf2
 	$(GO) test -run '^$$' -bench 'BenchmarkCDCL' -benchmem ./internal/sat
 
@@ -45,10 +45,11 @@ proofsmoke: build
 	$(GO) run ./cmd/proofcheck -cnf /tmp/bosphorus.smoke.drat.cnf -v /tmp/bosphorus.smoke.drat
 	rm -f /tmp/bosphorus.smoke.drat /tmp/bosphorus.smoke.drat.cnf
 
-# perf regenerates the machine-readable kernel + CDCL + cube + fragment
-# timing snapshot. (BENCH_pr1.json, BENCH_pr5.json, BENCH_pr6.json and
-# BENCH_pr7.json are frozen artifacts from earlier PRs; don't overwrite
-# them. Compare generations with
-# `go run ./cmd/benchtab -compare BENCH_pr7.json BENCH_pr8.json`.)
+# perf writes a machine-readable kernel + CDCL + cube + fragment + parity
+# timing snapshot to BENCH_local.json, which git ignores. The BENCH_pr*.json
+# files are frozen snapshots that scripts/check.sh compares; never
+# overwrite them. Compare a fresh snapshot with the latest frozen one:
+# `go run ./cmd/benchtab -compare BENCH_pr10.json BENCH_local.json`.
+# The end-to-end benchmark is perfbench/run.sh (see perfbench/README.md).
 perf: build
-	$(GO) run ./cmd/benchtab -perf BENCH_pr8.json
+	$(GO) run ./cmd/benchtab -perf BENCH_local.json

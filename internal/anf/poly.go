@@ -208,20 +208,11 @@ func (p Poly) Eval(assign func(Var) bool) bool {
 // SubstituteVar returns p with every occurrence of v replaced by the
 // polynomial r. For each term v·m the result contributes r·m.
 func (p Poly) SubstituteVar(v Var, r Poly) Poly {
-	if !p.ContainsVar(v) {
+	var s Substituter
+	if !s.substitute(p, v, r) {
 		return p
 	}
-	keep := make([]Monomial, 0, len(p.terms))
-	var replaced Poly
-	for _, t := range p.terms {
-		if !t.Contains(v) {
-			keep = append(keep, t)
-			continue
-		}
-		rest := t.Without(v)
-		replaced = replaced.Add(r.MulMonomial(rest))
-	}
-	return Poly{terms: keep}.Add(replaced)
+	return Poly{terms: s.out}
 }
 
 // SubstituteConst returns p with v fixed to the constant value b.

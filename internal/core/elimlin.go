@@ -32,7 +32,8 @@ func DefaultElimLinConfig(rng *rand.Rand) ElimLinConfig {
 
 // RunElimLin performs the ElimLin algorithm on a random subset of the
 // system and returns the linear equations learnt across all rounds. The
-// input system is not modified; substitutions happen on a working copy.
+// input system is not modified: substitutions rewrite, in place, only the
+// reduced rows each round's GJE produces.
 func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 64
@@ -41,7 +42,7 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 	if len(work) == 0 {
 		return nil
 	}
-	var scratch elimScratch
+	var idx occIndex
 	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
 		// A cancelled run returns what it has: learnt facts are valid the
@@ -68,23 +69,10 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 			break
 		}
 		learnt = append(learnt, linear...)
-		// Step (3): use each linear equation to eliminate one variable —
-		// the variable occurring in the fewest remaining equations.
-		for _, l := range linear {
-			if l.IsOne() {
-				// Contradiction: surface it as a learnt fact and stop.
-				return append(learnt, anf.OnePoly())
-			}
-			vs := l.LinearVars()
-			if len(vs) == 0 {
-				continue
-			}
-			v := scratch.pick(vs, rest)
-			// Solve l for v: v = l ⊕ v (the rest of the equation).
-			rhs := l.Add(anf.VarPoly(v))
-			for i, p := range rest {
-				rest[i] = p.SubstituteVar(v, rhs)
-			}
+		// Step (3): use each linear equation to eliminate one variable.
+		if idx.eliminate(linear, rest, nil) >= 0 {
+			// Contradiction: surface it as a learnt fact and stop.
+			return append(learnt, anf.OnePoly())
 		}
 		work = rest
 	}
@@ -114,7 +102,7 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 		work[i] = all[idx]
 		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slots[idx]}}
 	}
-	var scratch elimScratch
+	var idx occIndex
 	var learnt []ProvFact
 	for round := 0; round < cfg.MaxRounds; round++ {
 		if ctxCanceled(cfg.Context) {
@@ -152,23 +140,12 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 		for i, l := range linear {
 			learnt = append(learnt, ProvFact{Poly: l, Witness: linWits[i], Note: "gje row"})
 		}
-		for li, l := range linear {
-			if l.IsOne() {
-				return append(learnt, ProvFact{Poly: anf.OnePoly(), Witness: linWits[li], Note: "gje contradiction"})
-			}
-			vs := l.LinearVars()
-			if len(vs) == 0 {
-				continue
-			}
-			v := scratch.pick(vs, rest)
-			rhs := l.Add(anf.VarPoly(v))
-			for i, p := range rest {
-				a := cofactor(p, v)
-				rest[i] = p.SubstituteVar(v, rhs)
-				if !a.IsZero() {
-					restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], a))
-				}
-			}
+		contra := idx.eliminate(linear, rest, func(li, i int, v anf.Var) {
+			a := cofactor(rest[i], v)
+			restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], a))
+		})
+		if contra >= 0 {
+			return append(learnt, ProvFact{Poly: anf.OnePoly(), Witness: linWits[contra], Note: "gje contradiction"})
 		}
 		work = rest
 		wits = restWits
@@ -176,70 +153,144 @@ func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 	return learnt
 }
 
-// elimScratch holds the generation-stamped dense arrays behind the
-// eliminate-variable choice, reused across every pick of a RunElimLin
-// call so the per-pick cost is one pass over rest with no allocation.
-type elimScratch struct {
-	cand   []int32 // cand[v] == gen: v is a candidate this pick
-	seen   []int32 // seen[v] == tick: v already counted for current poly
-	counts []int32 // occurrences of candidate v across rest
-	gen    int32
-	tick   int32
+// occIndex is the occurrence index behind ElimLin's step (3): for every
+// variable, the remaining equations of the round (indices into rest) that
+// contain it. It is built once per round, after the GJE, and kept exact
+// through every substitution, so choosing the variable to eliminate reads
+// list lengths, and a substitution visits only the equations that contain
+// its variable. The rewrites happen in place: rest holds ElimLin's own
+// polynomials, fresh from extractRows, which nothing else references.
+type occIndex struct {
+	occ    [][]int32 // occ[u]: the equations containing u, in no set order
+	mark   []uint32  // mark[u] == stamp: u seen by the current equation scan
+	stamp  uint32
+	before []anf.Var // variables of the equation being rewritten
+	sub    anf.Substituter
 }
 
-func (s *elimScratch) grow(n int) {
-	if n <= len(s.cand) {
-		return
+// eliminate runs step (3) of one round: each linear equation l in turn
+// eliminates its variable v occurring in the fewest equations of rest
+// (first of l's variables on ties) by substituting v := l ⊕ v into them.
+// visit, when non-nil, sees each (linear index, equation index, v) just
+// before that equation is rewritten. eliminate returns the index of the
+// first linear equation that is the contradiction 1, stopping there, or -1.
+func (x *occIndex) eliminate(linear, rest []anf.Poly, visit func(li, i int, v anf.Var)) int {
+	x.build(rest)
+	for li, l := range linear {
+		if l.IsOne() {
+			return li
+		}
+		vs := l.LinearVars()
+		if len(vs) == 0 {
+			continue
+		}
+		v := x.pick(vs)
+		if x.count(v) == 0 {
+			continue
+		}
+		// Solve l for v: v = l ⊕ v (the rest of the equation).
+		rhs := l.Add(anf.VarPoly(v))
+		eqs := x.occ[v]
+		for _, i := range eqs {
+			if visit != nil {
+				visit(li, int(i), v)
+			}
+			x.substitute(rest, int(i), v, rhs)
+		}
+		x.occ[v] = eqs[:0]
 	}
-	c := make([]int32, n)
-	copy(c, s.cand)
-	s.cand = c
-	sn := make([]int32, n)
-	copy(sn, s.seen)
-	s.seen = sn
-	ct := make([]int32, n)
-	copy(ct, s.counts)
-	s.counts = ct
+	return -1
 }
 
-// pick returns the variable of vs occurring in the fewest polynomials of
-// rest (first in vs on ties, matching the sorted order LinearVars
-// produces). It counts all candidates in a single occurrence-count pass
-// over rest — O(total terms) instead of the O(len(vs) × total terms)
-// rescan a per-variable ContainsVar sweep costs.
-func (s *elimScratch) pick(vs []anf.Var, rest []anf.Poly) anf.Var {
-	if len(vs) == 1 {
-		return vs[0]
+// build indexes rest, reusing the lists of the previous round.
+func (x *occIndex) build(rest []anf.Poly) {
+	for u := range x.occ {
+		x.occ[u] = x.occ[u][:0]
 	}
-	s.grow(int(vs[len(vs)-1]) + 1) // vs is sorted ascending
-	s.gen++
-	for _, v := range vs {
-		s.cand[v] = s.gen
-		s.counts[v] = 0
-	}
-	for _, p := range rest {
-		s.tick++
+	for i, p := range rest {
+		x.stamp++
 		for _, t := range p.Terms() {
-			for _, v := range t.Vars() {
-				if int(v) < len(s.cand) && s.cand[v] == s.gen && s.seen[v] != s.tick {
-					s.seen[v] = s.tick
-					s.counts[v]++
+			for _, u := range t.Vars() {
+				if x.see(u) {
+					x.occ[u] = append(x.occ[u], int32(i))
 				}
 			}
 		}
 	}
-	best := vs[0]
-	for _, v := range vs[1:] {
-		if s.counts[v] < s.counts[best] {
-			best = v
-		}
-	}
-	return best
 }
 
-// pickElimVar is the standalone form of elimScratch.pick, kept for tests
-// and one-off callers.
-func pickElimVar(vs []anf.Var, rest []anf.Poly) anf.Var {
-	var s elimScratch
-	return s.pick(vs, rest)
+// count returns the number of equations containing u.
+func (x *occIndex) count(u anf.Var) int {
+	if int(u) >= len(x.occ) {
+		return 0
+	}
+	return len(x.occ[u])
+}
+
+// pick returns the variable of vs (sorted ascending) occurring in the
+// fewest equations, the first of them on ties.
+func (x *occIndex) pick(vs []anf.Var) anf.Var {
+	v := vs[0]
+	for _, u := range vs[1:] {
+		if x.count(u) < x.count(v) {
+			v = u
+		}
+	}
+	return v
+}
+
+// see marks u as seen by the current scan, growing the index to cover it,
+// and reports whether this is the scan's first sighting.
+func (x *occIndex) see(u anf.Var) bool {
+	if int(u) >= len(x.occ) {
+		n := max(int(u)+1, 2*len(x.occ))
+		x.occ = append(x.occ, make([][]int32, n-len(x.occ))...)
+		x.mark = append(x.mark, make([]uint32, n-len(x.mark))...)
+	}
+	if x.mark[u] == x.stamp {
+		return false
+	}
+	x.mark[u] = x.stamp
+	return true
+}
+
+// substitute rewrites rest[i] to rest[i][v := rhs] in place and moves
+// equation i between the lists of the variables the rewrite added or
+// dropped. v itself is dropped (rhs does not contain it); the caller
+// clears v's list once every equation on it is rewritten.
+func (x *occIndex) substitute(rest []anf.Poly, i int, v anf.Var, rhs anf.Poly) {
+	x.stamp++
+	x.before = x.before[:0]
+	for _, t := range rest[i].Terms() {
+		for _, u := range t.Vars() {
+			if x.see(u) {
+				x.before = append(x.before, u)
+			}
+		}
+	}
+	x.sub.SubstituteInPlace(&rest[i], v, rhs)
+	x.stamp++
+	for _, t := range rest[i].Terms() {
+		for _, u := range t.Vars() {
+			if int(u) < len(x.mark) && x.mark[u] == x.stamp-1 {
+				x.mark[u] = x.stamp // kept
+			} else if x.see(u) {
+				x.occ[u] = append(x.occ[u], int32(i)) // added
+			}
+		}
+	}
+	for _, u := range x.before {
+		if x.mark[u] == x.stamp || u == v {
+			continue
+		}
+		// Dropped: every term containing u cancelled or was rewritten.
+		l := x.occ[u]
+		for k, e := range l {
+			if int(e) == i {
+				l[k] = l[len(l)-1]
+				x.occ[u] = l[:len(l)-1]
+				break
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/anf"
@@ -98,9 +100,44 @@ func TestProcessWorkersSolves(t *testing.T) {
 	}
 }
 
-// TestPickElimVarMatchesRescan cross-checks the single-pass occurrence
-// counter against the obvious per-variable rescan on random systems.
+// TestPickElimVarMatchesRescan drives ElimLin's occurrence index through
+// random substitution sequences. Each choice of variable must match the
+// rescan pick over the equations as they stand, and afterwards every
+// variable's list must hold exactly the equations a rescan finds it in.
 func TestPickElimVarMatchesRescan(t *testing.T) {
+	checkIndex := func(name string, x *occIndex, rest []anf.Poly, nvars int) {
+		t.Helper()
+		for u := anf.Var(0); int(u) < nvars; u++ {
+			var want []int
+			for i, p := range rest {
+				if p.ContainsVar(u) {
+					want = append(want, i)
+				}
+			}
+			var got []int
+			if int(u) < len(x.occ) {
+				for _, i := range x.occ[u] {
+					got = append(got, int(i))
+				}
+			}
+			sort.Ints(got)
+			if x.count(u) != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: %v listed in equations %v (count %d), rescan finds %v", name, u, got, x.count(u), want)
+			}
+		}
+	}
+	// A variable that drops out by cancellation: x3 := x2 turns
+	// x1·x2 ⊕ x1·x3 into x1·x2 ⊕ x1·x2 = 0, so equation 0 loses x1, x2 and x3.
+	rest := []anf.Poly{anf.MustParsePoly("x1*x2 + x1*x3"), anf.MustParsePoly("x2*x4 + x5*x6")}
+	var x occIndex
+	if x.eliminate([]anf.Poly{anf.MustParsePoly("x2 + x3")}, rest, nil) >= 0 {
+		t.Fatal("no contradiction to report")
+	}
+	if !rest[0].IsZero() || x.count(1) != 0 || x.count(2) != 1 || x.count(3) != 0 {
+		t.Fatalf("after x3 := x2: rest %v, counts x1 %d x2 %d x3 %d", rest, x.count(1), x.count(2), x.count(3))
+	}
+	checkIndex("cancellation", &x, rest, 7)
+
 	rng := rand.New(rand.NewSource(11))
 	randPoly := func(nvars int) anf.Poly {
 		p := anf.Zero()
@@ -110,58 +147,46 @@ func TestPickElimVarMatchesRescan(t *testing.T) {
 		}
 		return p
 	}
-	naive := func(vs []anf.Var, rest []anf.Poly) anf.Var {
-		best, bestCount := vs[0], int(^uint(0)>>1)
-		for _, v := range vs {
-			count := 0
-			for _, p := range rest {
-				if p.ContainsVar(v) {
-					count++
-				}
-			}
-			if count < bestCount {
-				best, bestCount = v, count
-			}
-		}
-		return best
-	}
 	for trial := 0; trial < 200; trial++ {
 		nvars := 4 + rng.Intn(40)
 		rest := make([]anf.Poly, 1+rng.Intn(20))
 		for i := range rest {
 			rest[i] = randPoly(nvars)
 		}
-		nvs := 1 + rng.Intn(6)
-		if nvs > nvars {
-			nvs = nvars
-		}
-		seen := map[anf.Var]bool{}
-		var vs []anf.Var
-		for len(vs) < nvs {
-			v := anf.Var(rng.Intn(nvars))
-			if !seen[v] {
-				seen[v] = true
-				vs = append(vs, v)
+		// Linear equations over up to 6 distinct variables, some beyond
+		// every equation of rest.
+		linear := make([]anf.Poly, 1+rng.Intn(8))
+		for li := range linear {
+			l := anf.Constant(rng.Intn(2) == 1)
+			for k := 0; k < 1+rng.Intn(6); k++ {
+				if v := anf.VarPoly(anf.Var(rng.Intn(nvars + 4))); !l.Add(v).IsZero() {
+					l = l.Add(v)
+				}
 			}
+			if l.IsOne() {
+				l = l.Add(anf.VarPoly(0))
+			}
+			linear[li] = l
 		}
-		sortVars(vs)
-		if got, want := pickElimVar(vs, rest), naive(vs, rest); got != want {
-			t.Fatalf("trial %d: pickElimVar=%v naive=%v (vs=%v)", trial, got, want, vs)
-		}
+		var x occIndex
+		picked := -1
+		x.eliminate(linear, rest, func(li, i int, v anf.Var) {
+			if li == picked {
+				return
+			}
+			picked = li
+			if want := rescanPick(linear[li].LinearVars(), rest); v != want {
+				t.Fatalf("trial %d equation %d: index picked %v, rescan %v", trial, li, v, want)
+			}
+		})
+		checkIndex(fmt.Sprintf("trial %d", trial), &x, rest, nvars+4)
 	}
 }
 
-func sortVars(vs []anf.Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}
-
-// BenchmarkPickElimVar isolates the eliminate-variable choice that used to
-// rescan rest once per candidate variable.
-func BenchmarkPickElimVar(b *testing.B) {
+// BenchmarkElimLinIndex times ElimLin's step (3) alone: building the
+// occurrence index over 400 equations, then eight eliminations, each a
+// pick plus in-place substitutions into the equations that contain it.
+func BenchmarkElimLinIndex(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const nvars = 256
 	rest := make([]anf.Poly, 400)
@@ -173,12 +198,23 @@ func BenchmarkPickElimVar(b *testing.B) {
 		}
 		rest[i] = p
 	}
-	vs := []anf.Var{3, 17, 40, 99, 180, 220}
-	var s elimScratch
+	var linear []anf.Poly
+	for _, vs := range [][]anf.Var{{3, 17, 40}, {99, 180}, {220, 5, 6, 7}, {8, 9}, {10, 11, 12, 13}, {14}, {15, 16}, {18, 19}} {
+		l := anf.OnePoly()
+		for _, v := range vs {
+			l = l.Add(anf.VarPoly(v))
+		}
+		linear = append(linear, l)
+	}
+	work := make([]anf.Poly, len(rest))
+	var x occIndex
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.pick(vs, rest)
+		for k, p := range rest {
+			work[k] = anf.FromSortedMonomials(p.Terms()) // in-place rewrites need owned copies
+		}
+		x.eliminate(linear, work, nil)
 	}
 }
 

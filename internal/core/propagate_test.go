@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -89,6 +90,43 @@ func TestNormalizePoly(t *testing.T) {
 	want := anf.MustParsePoly("x3 + 1")
 	if !got.Equal(want) {
 		t.Fatalf("normalize gave %s, want %s", got, want)
+	}
+}
+
+// TestProvNormalizeMatchesNormalizePoly: the provenance tracker
+// substitutes one bound variable at a time to record a witness per
+// substitution, NormalizePoly maps every variable in one pass; both must
+// return the same polynomial. States mix values with signed equivalence
+// chains, and polynomials reach past NumVars.
+func TestProvNormalizeMatchesNormalizePoly(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(12)
+		s := NewVarState(n)
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			x, y := anf.Var(rng.Intn(n)), anf.Var(rng.Intn(n))
+			if rng.Intn(4) == 0 {
+				s.SetValue(x, rng.Intn(2) == 1)
+			} else {
+				s.Merge(x, y, rng.Intn(2) == 1)
+			}
+		}
+		pt := newProvTracker(anf.NewSystem())
+		for k := 0; k < 5; k++ {
+			var ms []anf.Monomial
+			for j := rng.Intn(6); j >= 0; j-- {
+				var vs []anf.Var
+				for d := rng.Intn(4); d > 0; d-- {
+					vs = append(vs, anf.Var(rng.Intn(n+3)))
+				}
+				ms = append(ms, anf.NewMonomial(vs...))
+			}
+			p := anf.FromMonomials(ms...)
+			want, _ := pt.normalize(s, p)
+			if got := s.NormalizePoly(p); !got.Equal(want) {
+				t.Fatalf("trial %d: NormalizePoly(%s) = %s, provenance normalize %s (%s)", trial, p, got, want, s)
+			}
+		}
 	}
 }
 

@@ -177,11 +177,13 @@ func (pt *provTracker) bindingVal(v anf.Var) (bool, int) {
 	return b, rec
 }
 
-// normalize mirrors VarState.NormalizePoly exactly — same substitutions in
-// the same order, so the returned polynomial is identical — while
-// recording witness terms for each substitution: the result satisfies
-// q = p ⊕ Σ Mult·record(Src).Poly. Terms with Src -1 mark substitutions
-// whose binding record could not be attributed.
+// normalize returns the polynomial VarState.NormalizePoly returns, while
+// recording witness terms: the result satisfies q = p ⊕ Σ
+// Mult·record(Src).Poly. Where NormalizePoly maps every bound variable in
+// one pass, normalize substitutes them one at a time, in ascending order,
+// so that each substitution gets its own term; both end at the same
+// canonical polynomial. Terms with Src -1 mark substitutions whose binding
+// record could not be attributed.
 func (pt *provTracker) normalize(st *VarState, p anf.Poly) (anf.Poly, []proof.Term) {
 	var terms []proof.Term
 	for _, v := range p.Vars() {

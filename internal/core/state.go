@@ -147,22 +147,72 @@ func (s *VarState) Merge(x, y anf.Var, neg bool) (bool, bool) {
 	return true, true
 }
 
-// NormalizePoly rewrites p using the known values and equivalences.
+// NormalizePoly rewrites p using the known values and equivalences. Each
+// term's variables map, in one pass, to their values or representative
+// literals; the expanded terms are then sorted and cancelled once. A
+// polynomial with no bound variable is returned as is, and so is each
+// term without one.
 func (s *VarState) NormalizePoly(p anf.Poly) anf.Poly {
-	for _, v := range p.Vars() {
-		if int(v) >= len(s.val) {
+	if !s.binds(p) {
+		return p
+	}
+	var out []anf.Monomial
+	var kept, negs []anf.Var
+	for _, t := range p.Terms() {
+		kept, negs = kept[:0], negs[:0]
+		bound, zero := false, false
+		for _, v := range t.Vars() {
+			if int(v) >= len(s.val) {
+				kept = append(kept, v)
+				continue
+			}
+			r := s.Find(v)
+			switch {
+			case s.val[r.V] >= 0:
+				// v = 0 zeroes the term; v = 1 drops out of it.
+				zero = (s.val[r.V] == 1) == r.Neg
+			case r.Neg:
+				negs = append(negs, r.V)
+			default:
+				kept = append(kept, r.V)
+			}
+			bound = bound || r.V != v || s.val[r.V] >= 0
+			if zero {
+				break
+			}
+		}
+		if zero {
 			continue
 		}
-		if val, ok := s.Value(v); ok {
-			p = p.SubstituteConst(v, val)
+		if !bound {
+			out = append(out, t) // the term as it is, interned ID and all
 			continue
 		}
-		r := s.Find(v)
-		if r.V != v {
-			p = p.SubstituteVar(v, r.Poly())
+		// The term is kept · Π (w ⊕ 1) over negs: expand the product.
+		first := len(out)
+		out = append(out, anf.NewMonomial(kept...))
+		for _, w := range negs {
+			for k, n := first, len(out); k < n; k++ {
+				out = append(out, out[k].MulVar(w))
+			}
 		}
 	}
-	return p
+	return anf.FromMonomials(out...)
+}
+
+// binds reports whether some variable of p has a value or a
+// representative other than itself.
+func (s *VarState) binds(p anf.Poly) bool {
+	for _, t := range p.Terms() {
+		for _, v := range t.Vars() {
+			if int(v) < len(s.val) {
+				if r := s.Find(v); r.V != v || s.val[v] >= 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // Assignments returns every determined variable with its value.

@@ -1,9 +1,9 @@
 #!/bin/sh
 # check.sh — the full local gate: formatting, vet, build, race-enabled
 # tests, a proof round-trip smoke, short fuzz runs of the DRAT checker,
-# and a one-iteration smoke pass over the perf-critical benchmarks. CI
-# and pre-commit runs should both go through `make check`, which calls
-# this.
+# a one-iteration smoke pass over the perf-critical benchmarks, and the
+# end-to-end benchmark module's vet, tests and a one-second run. CI and
+# pre-commit runs should both go through `make check`, which calls this.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -88,8 +88,16 @@ echo "==> parity clause fuzz (a few seconds)"
 go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
 
 echo "==> bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'XL|RREF|ElimLin|PickElimVar' -benchtime 1x \
+go test -run '^$' -bench 'XL|RREF|ElimLin' -benchtime 1x \
 	./internal/anf ./internal/core ./internal/gf2
+
+echo "==> perfbench module (vet, tests, one-second traced run)"
+# perfbench is a Go module of its own (replace repro => ../), so the root
+# `go build ./...` and `go test ./...` never compile it: a signature
+# change to anything it calls would break the benchmark unseen.
+(cd perfbench && go vet ./... && go test ./...)
+bash perfbench/run.sh --workload simon-elimlin --seed 1 --seconds 1 --trace 1 > "$workdir/perfbench.out"
+tail -n 1 "$workdir/perfbench.out" | grep -q '"correct":true'
 
 echo "==> benchtab harness smoke (-quick snapshot + -compare on frozen baselines)"
 go run ./cmd/benchtab -perf "$workdir/quick.json" -quick
