@@ -24,10 +24,11 @@ smoke:
 	$(GO) test -count=1 -run TestEndToEndSmoke ./cmd/bosphorusd
 
 # bench runs the perf-critical benchmarks (linearization, elimination
-# kernel, ElimLin and its occurrence index, CDCL propagation/conflict
-# families) with allocation stats.
+# kernel, ElimLin and its occurrence index, the whole loop at one and four
+# learners at once, CDCL propagation/conflict families) with allocation
+# stats.
 bench:
-	$(GO) test -run '^$$' -bench 'XL|RREF|ElimLin' -benchmem \
+	$(GO) test -run '^$$' -bench 'XL|RREF|ElimLin|ProcessWorkers' -benchmem \
 		./internal/anf ./internal/core ./internal/gf2
 	$(GO) test -run '^$$' -bench 'BenchmarkCDCL' -benchmem ./internal/sat
 

@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		solver      = fs.String("solver", "cms", "internal SAT solver: minisat | lingeling | cms")
 		budget      = fs.Int64("confl", 10000, "default starting SAT conflict budget per job")
 		maxIters    = fs.Int("iters", 16, "default maximum fact-learning iterations per job")
-		engineJ     = fs.Int("j", 0, "fact-learning pipeline workers per job (0 = sequential)")
+		engineJ     = fs.Int("j", 0, "fact learners run at once per engine job (0 and 1 = one at a time; results are identical for every value)")
 		role        = fs.String("role", "solo", "clustering role: solo | coordinator | worker")
 		coordinator = fs.String("coordinator", "", "coordinator base URL (worker role)")
 		poll        = fs.Duration("poll", 100*time.Millisecond, "idle poll interval between cube pulls (worker role)")

@@ -13,13 +13,14 @@ import (
 // Pipeline-level seed-vs-arena equivalence: the arena clause store inside
 // internal/sat must leave the whole fact-learning pipeline bit-identical —
 // same verdicts, same per-technique fact counts, same learnt-fact ledger —
-// for every instance under examples/instances, sequentially and across -j
-// worker counts. The golden file was captured from the seed solver with
+// for every instance under examples/instances, at -j 0, 1 and 3: one loop
+// at several learner fan-outs. The golden file was captured from the seed
+// solver with
 //
 //	go test -run TestPipelineSeedEquivalence -update-pipeline-golden .
 //
-// check.sh runs this under -race, so the worker-count sweep also exercises
-// the snapshot pipeline's concurrency.
+// check.sh runs this under -race, so the -j 3 runs also exercise the
+// loop's concurrent learners.
 //
 // Deliberate regeneration (PR-10): examples/instances/unsat_parity.anf was
 // added as the native-parity proof smoke, so the golden gained its record.
@@ -100,13 +101,13 @@ func TestPipelineSeedEquivalence(t *testing.T) {
 	for _, path := range paths {
 		base := pipelineSummary(t, path, 0)
 		got = append(got, base)
-		// The ledger must be invariant across the -j worker sweep.
+		// The ledger must be invariant across the -j sweep.
 		for _, workers := range []int{1, 3} {
 			alt := pipelineSummary(t, path, workers)
 			bj, _ := json.Marshal(base)
 			aj, _ := json.Marshal(alt)
 			if string(bj) != string(aj) {
-				t.Errorf("%s: -j %d diverged from sequential:\nseq: %s\n-j%d: %s",
+				t.Errorf("%s: -j %d diverged from -j 0:\n-j0: %s\n-j%d: %s",
 					path, workers, bj, workers, aj)
 			}
 		}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/anf"
 	"repro/internal/ciphers/simon"
 )
 
@@ -27,6 +30,43 @@ func TestTimeBudgetExpiry(t *testing.T) {
 	// back, the result must be internally consistent.
 	if res.Status == SolvedSAT && !VerifySolution(inst.Sys, res.Solution) {
 		t.Fatal("invalid solution under time pressure")
+	}
+}
+
+// The time budget is checked before each learner, not once per
+// iteration: a learner queued behind one that outlasts the budget must
+// never start, with learners run one after another (Workers 0 and 1).
+func TestTimeBudgetCheckedPerLearner(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		var slow, late atomic.Bool
+		cfg := DefaultConfig()
+		cfg.DisableXL, cfg.DisableElimLin, cfg.DisableSAT = true, true, true
+		cfg.TimeBudget = 100 * time.Millisecond
+		cfg.Workers = workers
+		cfg.ExtraTechniques = []Technique{
+			TechniqueFunc{TechName: "slow", Fn: func(context.Context, *anf.System, *rand.Rand) []anf.Poly {
+				slow.Store(true)
+				time.Sleep(300 * time.Millisecond)
+				return nil
+			}},
+			TechniqueFunc{TechName: "late", Fn: func(context.Context, *anf.System, *rand.Rand) []anf.Poly {
+				late.Store(true)
+				return nil
+			}},
+		}
+		res := Process(sysFrom(t, paperExample), cfg)
+		if late.Load() {
+			t.Fatalf("Workers=%d: a learner started after the time budget expired", workers)
+		}
+		// Only the slow learner may have started; on a stalled host the
+		// budget can run out before it does.
+		want := 0
+		if slow.Load() {
+			want = 1
+		}
+		if res.Extra.Runs != want {
+			t.Fatalf("Workers=%d: %d extra learners merged, want %d", workers, res.Extra.Runs, want)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // pollCtx is a context.Context whose Err flips to Canceled after the Nth
 // poll — deterministic mid-run cancellation without timers. Goroutine-safe
-// (the snapshot pipeline polls from several workers).
+// (with Workers > 1 the learners poll from several goroutines).
 type pollCtx struct {
 	context.Context
 	polls   atomic.Int64

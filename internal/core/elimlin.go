@@ -35,12 +35,27 @@ func DefaultElimLinConfig(rng *rand.Rand) ElimLinConfig {
 // input system is not modified: substitutions rewrite, in place, only the
 // reduced rows each round's GJE produces.
 func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
+	return runElimLin(sys, cfg, nil)
+}
+
+// runElimLin is the ElimLin pass. A non-nil w also gets a witness per
+// learnt equation. Witnesses thread through the rounds: a reduced row
+// combines the working polynomials' witnesses per the elimination's ops
+// matrix, and substituting v := l ⊕ v into p rewrites p to p ⊕ A·l (A the
+// cofactor of v in p), so the working witness gains A-scaled copies of
+// l's witness.
+func runElimLin(sys *anf.System, cfg ElimLinConfig, w *witnessLog) []anf.Poly {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 64
 	}
-	work := subsample(sys, cfg.M, cfg.Rand)
+	track := w != nil
+	work, slots := subsample(sys, cfg.M, cfg.Rand, track)
 	if len(work) == 0 {
 		return nil
+	}
+	wits := make([][]SlotTerm, len(slots)) // tracked only: work[i]'s witness
+	for i, slot := range slots {
+		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slot}}
 	}
 	var idx occIndex
 	var learnt []anf.Poly
@@ -52,103 +67,57 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 			return learnt
 		}
 		// Step (1): GJE on the linearization.
-		reduced := gjeRowsWorkers(work, cfg.Workers)
+		reduced, ops := gjeRows(work, cfg.Workers, track)
 		// Step (2): gather the linear equations.
-		var linear []anf.Poly
-		var rest []anf.Poly
-		for _, p := range reduced {
+		var linear, rest []anf.Poly
+		var linWits, restWits [][]SlotTerm
+		for r, p := range reduced {
+			var wit []SlotTerm
+			if track {
+				for j := range work {
+					if ops.Get(r, j) {
+						wit = append(wit, wits[j]...)
+					}
+				}
+				wit = canonSlotTerms(wit)
+			}
 			switch {
 			case p.IsZero():
 			case p.IsLinear():
 				linear = append(linear, p)
+				if track {
+					linWits = append(linWits, wit)
+				}
 			default:
 				rest = append(rest, p)
+				if track {
+					restWits = append(restWits, wit)
+				}
 			}
 		}
 		if len(linear) == 0 {
 			break
 		}
 		learnt = append(learnt, linear...)
+		for _, wit := range linWits {
+			w.record(wit, "gje row")
+		}
 		// Step (3): use each linear equation to eliminate one variable.
-		if idx.eliminate(linear, rest, nil) >= 0 {
+		var visit func(li, i int, v anf.Var)
+		if track {
+			visit = func(li, i int, v anf.Var) {
+				a := cofactor(rest[i], v)
+				restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], a))
+			}
+		}
+		if contra := idx.eliminate(linear, rest, visit); contra >= 0 {
 			// Contradiction: surface it as a learnt fact and stop.
+			if track {
+				w.record(linWits[contra], "gje contradiction")
+			}
 			return append(learnt, anf.OnePoly())
 		}
-		work = rest
-	}
-	return learnt
-}
-
-// RunElimLinProv is RunElimLin with provenance: identical subsampling,
-// reduction (unique RREF), variable choice and substitution, plus a
-// witness per learnt linear equation. Witnesses thread through the rounds:
-// a reduced row combines the working polynomials' witnesses per the
-// elimination's ops matrix, and substituting v := l ⊕ v into p rewrites p
-// to p ⊕ A·l (A the cofactor of v in p), so the working witness gains
-// A-scaled copies of l's witness.
-func RunElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 64
-	}
-	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
-	if len(idxs) == 0 {
-		return nil
-	}
-	slots := polysSlots(sys)
-	all := sys.Polys()
-	work := make([]anf.Poly, len(idxs))
-	wits := make([][]SlotTerm, len(idxs))
-	for i, idx := range idxs {
-		work[i] = all[idx]
-		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slots[idx]}}
-	}
-	var idx occIndex
-	var learnt []ProvFact
-	for round := 0; round < cfg.MaxRounds; round++ {
-		if ctxCanceled(cfg.Context) {
-			return learnt
-		}
-		reduced, ops := gjeRowsTracked(work)
-		rwits := make([][]SlotTerm, len(reduced))
-		for r := range reduced {
-			var w []SlotTerm
-			for j := range work {
-				if ops.Get(r, j) {
-					w = append(w, wits[j]...)
-				}
-			}
-			rwits[r] = canonSlotTerms(w)
-		}
-		var linear []anf.Poly
-		var linWits [][]SlotTerm
-		var rest []anf.Poly
-		var restWits [][]SlotTerm
-		for r, p := range reduced {
-			switch {
-			case p.IsZero():
-			case p.IsLinear():
-				linear = append(linear, p)
-				linWits = append(linWits, rwits[r])
-			default:
-				rest = append(rest, p)
-				restWits = append(restWits, rwits[r])
-			}
-		}
-		if len(linear) == 0 {
-			break
-		}
-		for i, l := range linear {
-			learnt = append(learnt, ProvFact{Poly: l, Witness: linWits[i], Note: "gje row"})
-		}
-		contra := idx.eliminate(linear, rest, func(li, i int, v anf.Var) {
-			a := cofactor(rest[i], v)
-			restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], a))
-		})
-		if contra >= 0 {
-			return append(learnt, ProvFact{Poly: anf.OnePoly(), Witness: linWits[contra], Note: "gje contradiction"})
-		}
-		work = rest
-		wits = restWits
+		work, wits = rest, restWits
 	}
 	return learnt
 }

@@ -56,14 +56,15 @@ func sweepElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 64
 	}
-	work := subsample(sys, cfg.M, cfg.Rand)
+	work, _ := subsample(sys, cfg.M, cfg.Rand, false)
 	if len(work) == 0 {
 		return nil
 	}
 	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
 		var linear, rest []anf.Poly
-		for _, p := range gjeRows(work) {
+		reduced, _ := gjeRows(work, 0, false)
+		for _, p := range reduced {
 			switch {
 			case p.IsZero():
 			case p.IsLinear():
@@ -96,25 +97,22 @@ func sweepElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 }
 
 // sweepElimLinProv is the reference ElimLin loop with witnesses.
-func sweepElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
+func sweepElimLinProv(sys *anf.System, cfg ElimLinConfig) ([]anf.Poly, *witnessLog) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 64
 	}
-	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
-	if len(idxs) == 0 {
-		return nil
+	w := &witnessLog{}
+	work, slots := subsample(sys, cfg.M, cfg.Rand, true)
+	if len(work) == 0 {
+		return nil, w
 	}
-	slots := polysSlots(sys)
-	all := sys.Polys()
-	work := make([]anf.Poly, len(idxs))
-	wits := make([][]SlotTerm, len(idxs))
-	for i, idx := range idxs {
-		work[i] = all[idx]
-		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slots[idx]}}
+	wits := make([][]SlotTerm, len(work))
+	for i, slot := range slots {
+		wits[i] = []SlotTerm{{Mult: anf.OnePoly(), Slot: slot}}
 	}
-	var learnt []ProvFact
+	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
-		reduced, ops := gjeRowsTracked(work)
+		reduced, ops := gjeRows(work, 0, true)
 		var linear, rest []anf.Poly
 		var linWits, restWits [][]SlotTerm
 		for r, p := range reduced {
@@ -139,11 +137,13 @@ func sweepElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 			break
 		}
 		for i, l := range linear {
-			learnt = append(learnt, ProvFact{Poly: l, Witness: linWits[i], Note: "gje row"})
+			learnt = append(learnt, l)
+			w.record(linWits[i], "gje row")
 		}
 		for li, l := range linear {
 			if l.IsOne() {
-				return append(learnt, ProvFact{Poly: anf.OnePoly(), Witness: linWits[li], Note: "gje contradiction"})
+				w.record(linWits[li], "gje contradiction")
+				return append(learnt, anf.OnePoly()), w
 			}
 			vs := l.LinearVars()
 			if len(vs) == 0 {
@@ -162,7 +162,7 @@ func sweepElimLinProv(sys *anf.System, cfg ElimLinConfig) []ProvFact {
 		work = rest
 		wits = restWits
 	}
-	return learnt
+	return learnt, w
 }
 
 // perVarNormalize is the reference normalization: one substitution per
@@ -208,16 +208,19 @@ func samePolys(a, b []anf.Poly) bool {
 	return true
 }
 
-func sameProvFacts(a, b []ProvFact) bool {
-	if len(a) != len(b) {
+// sameWitnessed reports whether two tracked runs learnt the same facts
+// with the same witnesses and notes, one of each per fact.
+func sameWitnessed(a []anf.Poly, aw *witnessLog, b []anf.Poly, bw *witnessLog) bool {
+	if !samePolys(a, b) || len(aw.wits) != len(a) || len(bw.wits) != len(b) ||
+		len(aw.notes) != len(a) || len(bw.notes) != len(b) {
 		return false
 	}
-	for i := range a {
-		if !a[i].Poly.Equal(b[i].Poly) || a[i].Note != b[i].Note || len(a[i].Witness) != len(b[i].Witness) {
+	for i, wit := range aw.wits {
+		if aw.notes[i] != bw.notes[i] || len(wit) != len(bw.wits[i]) {
 			return false
 		}
-		for j, w := range a[i].Witness {
-			if w.Slot != b[i].Witness[j].Slot || !w.Mult.Equal(b[i].Witness[j].Mult) {
+		for j, t := range wit {
+			if t.Slot != bw.wits[i][j].Slot || !t.Mult.Equal(bw.wits[i][j].Mult) {
 				return false
 			}
 		}
@@ -253,10 +256,15 @@ func TestElimLinMatchesSweep(t *testing.T) {
 					t.Fatalf("%s seed %d stage %d: RunElimLin learnt %d facts, reference %d (or different ones)",
 						name, seed, stage, len(got), len(want))
 				}
-				gotProv, wantProv := RunElimLinProv(work, cfg(14)), sweepElimLinProv(work, cfg(14))
-				if !sameProvFacts(gotProv, wantProv) {
-					t.Fatalf("%s seed %d stage %d: RunElimLinProv facts or witnesses differ from the reference",
+				var gotLog witnessLog
+				gotProv := runElimLin(work, cfg(14), &gotLog)
+				wantProv, wantLog := sweepElimLinProv(work, cfg(14))
+				if !sameWitnessed(gotProv, &gotLog, wantProv, wantLog) {
+					t.Fatalf("%s seed %d stage %d: tracked ElimLin facts or witnesses differ from the reference",
 						name, seed, stage)
+				}
+				if !samePolys(gotProv, RunElimLin(work, cfg(14))) {
+					t.Fatalf("%s seed %d stage %d: tracking changed the facts ElimLin learns", name, seed, stage)
 				}
 				learnt[name] += len(want)
 			}
@@ -310,11 +318,8 @@ func TestElimLinLeavesInputsAlone(t *testing.T) {
 					facts := RunElimLin(work, ElimLinConfig{M: 20, Rand: rand.New(rand.NewSource(seed + run))})
 					check("RunElimLin")
 					returned, copies = append(returned, facts), append(copies, deepCopyPolys(facts))
-					var provPolys []anf.Poly
-					for _, f := range RunElimLinProv(work, ElimLinConfig{M: 14, Rand: rand.New(rand.NewSource(seed + run))}) {
-						provPolys = append(provPolys, f.Poly)
-					}
-					check("RunElimLinProv")
+					provPolys := runElimLin(work, ElimLinConfig{M: 14, Rand: rand.New(rand.NewSource(seed + run))}, &witnessLog{})
+					check("tracked ElimLin")
 					returned, copies = append(returned, provPolys), append(copies, deepCopyPolys(provPolys))
 				}
 			}

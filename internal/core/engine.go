@@ -40,8 +40,9 @@ type Config struct {
 
 	// MaxIterations caps the fact-learning loop (0 = until fixed point).
 	MaxIterations int
-	// TimeBudget caps wall-clock time for the whole loop (0 = none); the
-	// paper gives Bosphorus at most 1000 s of the 5000 s total.
+	// TimeBudget caps wall-clock time for the whole loop (0 = none),
+	// checked before each learner and SAT step starts; the paper gives
+	// Bosphorus at most 1000 s of the 5000 s total.
 	TimeBudget time.Duration
 
 	// Context, when non-nil, cancels the run: Process polls it at every
@@ -67,7 +68,7 @@ type Config struct {
 	// alongside the other techniques.
 	EnableGroebner bool
 	// ExtraTechniques are user-supplied fact learners (§V's plug point),
-	// run after ElimLin each iteration.
+	// merged after ElimLin each iteration.
 	ExtraTechniques []Technique
 	// Route puts the tractable-fragment router in front of every SAT
 	// step: after ANF propagation/ElimLin simplify the system, the
@@ -89,16 +90,15 @@ type Config struct {
 	// ProbeMax bounds probing per SAT step (0 = all variables).
 	ProbeMax int
 
-	// Workers sets the fan-out of the fact-learning pipeline. 0 (the
-	// default) keeps the paper's strictly sequential loop: each technique
-	// sees the facts of the previous one within the same iteration.
-	// Workers ≥ 1 switches to the snapshot pipeline: every enabled
-	// technique of an iteration runs against the iteration-start system
-	// with its own deterministically derived RNG, and the fact batches are
-	// merged in fixed technique order before a single propagation — so the
-	// Result is bit-identical for every Workers value ≥ 1, and with
-	// Workers > 1 the techniques (and the GF(2) elimination kernel) run
-	// concurrently across that many goroutines.
+	// Workers sets how many fact learners, and how many GF(2) elimination
+	// strips within each, run at once; 0 and 1 both run them one after
+	// another. Every iteration runs its enabled learners (XL, ElimLin,
+	// ExtraTechniques, Gröbner) against the iteration-start system, each
+	// with its own RNG derived from Seed, the iteration and its place in
+	// that order, and merges their fact batches in that order before the
+	// SAT step. A learner thus sees the facts of the ones before it from
+	// the next iteration on, and the Result is bit-identical for every
+	// Workers value.
 	Workers int
 
 	// Seed drives all randomized choices; fixed seed = reproducible run.
@@ -224,7 +224,6 @@ func Process(input *anf.System, cfg Config) *Result {
 	if cfg.Conv.CutLen == 0 {
 		cfg.Conv = conv.DefaultOptions()
 	}
-	rng := NewRNG(cfg.Seed)
 	ctx := cfg.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -270,86 +269,9 @@ func Process(input *anf.System, cfg Config) *Result {
 
 	for iter := 0; iter < maxIters; iter++ {
 		res.Iterations = iter + 1
-		newThisIter := 0
-
-		if cfg.Workers >= 1 {
-			// Snapshot pipeline: all fact learners of this iteration see the
-			// iteration-start system and run (possibly concurrently) with
-			// deterministically derived RNGs; their batches merge in fixed
-			// technique order, so the outcome is Workers-independent.
-			if !expired() {
-				added, ok := runSnapshotPhase(ctx, prop, cfg, res, iter, logf)
-				newThisIter += added
-				if !ok {
-					return finish(SolvedUNSAT)
-				}
-			}
-		} else {
-			// merge folds one technique's batch into the master system —
-			// through the provenance tracker when it is on (witness-carrying
-			// ProvFacts), through plain AddFacts otherwise. Both paths learn
-			// identical facts.
-			merge := func(stats *PhaseStats, tech, name string, facts []anf.Poly, pfacts []ProvFact) bool {
-				var added int
-				var ok bool
-				n := len(facts)
-				if prop.prov != nil {
-					added, ok = prop.AddProvFacts(pfacts, tech, iter, nil)
-					n = len(pfacts)
-				} else {
-					added, ok = prop.AddFacts(facts)
-				}
-				stats.Runs++
-				stats.NewFacts += added
-				newThisIter += added
-				logf("iter %d: %s learnt %d facts (%d new)", iter, name, n, added)
-				return ok
-			}
-
-			if !cfg.DisableXL && !expired() {
-				xcfg := XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Context: ctx, Rand: rng}
-				var facts []anf.Poly
-				var pfacts []ProvFact
-				if prop.prov != nil {
-					pfacts = RunXLProv(sys, xcfg)
-				} else {
-					facts = RunXL(sys, xcfg)
-				}
-				if !merge(&res.XL, proof.TechXL, "XL", facts, pfacts) {
-					return finish(SolvedUNSAT)
-				}
-			}
-
-			if !cfg.DisableElimLin && !expired() {
-				ecfg := ElimLinConfig{M: cfg.M, Context: ctx, Rand: rng}
-				var facts []anf.Poly
-				var pfacts []ProvFact
-				if prop.prov != nil {
-					pfacts = RunElimLinProv(sys, ecfg)
-				} else {
-					facts = RunElimLin(sys, ecfg)
-				}
-				if !merge(&res.ElimLin, proof.TechElimLin, "ElimLin", facts, pfacts) {
-					return finish(SolvedUNSAT)
-				}
-			}
-
-			for _, tech := range cfg.ExtraTechniques {
-				if expired() {
-					break
-				}
-				facts := tech.Learn(ctx, sys, rng)
-				if !merge(&res.Extra, proof.TechExtra, tech.Name(), facts, wrapPlain(facts, tech.Name())) {
-					return finish(SolvedUNSAT)
-				}
-			}
-
-			if cfg.EnableGroebner && !expired() {
-				facts := RunGroebnerStep(sys, DefaultGroebnerConfig(rng))
-				if !merge(&res.Groebner, proof.TechGroebner, "Groebner", facts, wrapPlain(facts, "buchberger reduction")) {
-					return finish(SolvedUNSAT)
-				}
-			}
+		newThisIter, ok := runSnapshotPhase(ctx, prop, cfg, res, iter, expired, logf)
+		if !ok {
+			return finish(SolvedUNSAT)
 		}
 
 		if !cfg.DisableSAT && !expired() {
@@ -382,21 +304,7 @@ func Process(input *anf.System, cfg Config) *Result {
 				res.Solution = completeSolution(input, prop.State, step.Model)
 				return finish(SolvedSAT)
 			}
-			var added int
-			var ok bool
-			if prop.prov != nil {
-				pfacts := make([]ProvFact, len(step.Facts))
-				for i, f := range step.Facts {
-					note := "sat harvest"
-					if i < len(step.Notes) {
-						note = step.Notes[i]
-					}
-					pfacts[i] = ProvFact{Poly: f, Note: note}
-				}
-				added, ok = prop.AddProvFacts(pfacts, proof.TechSAT, iter, nil)
-			} else {
-				added, ok = prop.AddFacts(step.Facts)
-			}
+			added, ok := prop.merge(step.Facts, &witnessLog{notes: step.Notes, note: "sat harvest"}, proof.TechSAT, iter, nil)
 			res.SAT.NewFacts += added
 			newThisIter += added
 			logf("iter %d: SAT step (%v, %d conflicts) learnt %d facts (%d new)",

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/anf"
 	"repro/internal/conv"
+	"repro/internal/proof"
 	"repro/internal/sat"
 )
 
@@ -65,8 +66,9 @@ func TestExampleFactsPerTechnique(t *testing.T) {
 		t.Errorf("XL did not learn x3 ⊕ 1 (got %v)", xlFacts)
 	}
 
-	// ElimLin runs on the system augmented with XL's facts (the workflow
-	// is sequential, Fig. 1): its initial GJE then sees the four linear
+	// ElimLin runs on the system augmented with XL's facts (the paper's
+	// Fig. 1 workflow is sequential; Process hands ElimLin XL's facts from
+	// the next iteration on): its initial GJE then sees the four linear
 	// equations the paper lists and derives x1 ⊕ 1.
 	aug := sys.Clone()
 	for _, f := range xlFacts {
@@ -75,7 +77,7 @@ func TestExampleFactsPerTechnique(t *testing.T) {
 	elFacts := RunElimLin(aug, ElimLinConfig{M: 20, Rand: rng})
 	p := NewPropagator(sys.Clone())
 	p.Propagate()
-	p.AddFacts(elFacts)
+	p.merge(elFacts, nil, proof.TechPropagation, 0, nil)
 	if b, ok := p.State.Value(1); !ok || !b {
 		t.Errorf("ElimLin facts do not force x1 = 1 (got %v)", elFacts)
 	}

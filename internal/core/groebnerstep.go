@@ -38,7 +38,7 @@ func DefaultGroebnerConfig(rng *rand.Rand) GroebnerConfig {
 // same fact shapes as XL: linear polynomials, monomial ⊕ 1, and the
 // contradiction 1.
 func RunGroebnerStep(sys *anf.System, cfg GroebnerConfig) []anf.Poly {
-	polys := subsample(sys, cfg.M, cfg.Rand)
+	polys, _ := subsample(sys, cfg.M, cfg.Rand, false)
 	if len(polys) == 0 {
 		return nil
 	}

@@ -10,17 +10,17 @@ import (
 )
 
 // techJob is one fact learner of an iteration's snapshot phase: a closure
-// over the read-only master system, the stats bucket it reports into, and
-// the derived seed for its private RNG.
+// over the read-only master system, the stats bucket it reports into, the
+// derived seed for its private RNG, and what it learnt.
 type techJob struct {
-	name   string
-	tech   string // proof.Tech* label for the provenance ledger
-	stats  *PhaseStats
-	seed   int64
-	learn  func(rng *rand.Rand) []anf.Poly
-	plearn func(rng *rand.Rand) []ProvFact // provenance-tracking variant
-	facts  []anf.Poly
-	pfacts []ProvFact
+	name  string
+	tech  string // proof.Tech* label for the provenance ledger
+	stats *PhaseStats
+	seed  int64
+	learn func(rng *rand.Rand, w *witnessLog) []anf.Poly
+	ran   bool
+	facts []anf.Poly
+	log   witnessLog // how facts were derived, filled in with provenance on
 }
 
 // deriveSeed mixes the run seed, iteration and job index into a decorrelated
@@ -38,75 +38,53 @@ func deriveSeed(base int64, iter, job int) int64 {
 
 // snapshotJobs assembles the iteration's enabled fact learners in the fixed
 // merge order: XL, ElimLin, extra techniques (registration order), then the
-// optional Gröbner phase — the same order the sequential loop runs them.
+// optional Gröbner phase.
 func snapshotJobs(ctx context.Context, sys *anf.System, cfg Config, res *Result, iter int) []*techJob {
 	var jobs []*techJob
-	add := func(name, tech string, stats *PhaseStats, learn func(rng *rand.Rand) []anf.Poly, plearn func(rng *rand.Rand) []ProvFact) {
+	add := func(name, tech, note string, stats *PhaseStats, learn func(*rand.Rand, *witnessLog) []anf.Poly) {
 		jobs = append(jobs, &techJob{
-			name:   name,
-			tech:   tech,
-			stats:  stats,
-			seed:   deriveSeed(cfg.Seed, iter, len(jobs)),
-			learn:  learn,
-			plearn: plearn,
+			name:  name,
+			tech:  tech,
+			stats: stats,
+			seed:  deriveSeed(cfg.Seed, iter, len(jobs)),
+			learn: learn,
+			log:   witnessLog{note: note},
 		})
 	}
+	// plain runs a Technique, which records no witnesses.
+	plain := func(t Technique) func(*rand.Rand, *witnessLog) []anf.Poly {
+		return func(rng *rand.Rand, _ *witnessLog) []anf.Poly { return t.Learn(ctx, sys, rng) }
+	}
 	if !cfg.DisableXL {
-		xcfg := XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Workers: cfg.Workers, Context: ctx}
-		add("XL", proof.TechXL, &res.XL, func(rng *rand.Rand) []anf.Poly {
-			c := xcfg
-			c.Rand = rng
-			return RunXL(sys, c)
-		}, func(rng *rand.Rand) []ProvFact {
-			c := xcfg
-			c.Rand = rng
-			return RunXLProv(sys, c)
+		add("XL", proof.TechXL, "", &res.XL, func(rng *rand.Rand, w *witnessLog) []anf.Poly {
+			return runXL(sys, XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Workers: cfg.Workers, Context: ctx, Rand: rng}, w)
 		})
 	}
 	if !cfg.DisableElimLin {
-		ecfg := ElimLinConfig{M: cfg.M, Workers: cfg.Workers, Context: ctx}
-		add("ElimLin", proof.TechElimLin, &res.ElimLin, func(rng *rand.Rand) []anf.Poly {
-			c := ecfg
-			c.Rand = rng
-			return RunElimLin(sys, c)
-		}, func(rng *rand.Rand) []ProvFact {
-			c := ecfg
-			c.Rand = rng
-			return RunElimLinProv(sys, c)
+		add("ElimLin", proof.TechElimLin, "", &res.ElimLin, func(rng *rand.Rand, w *witnessLog) []anf.Poly {
+			return runElimLin(sys, ElimLinConfig{M: cfg.M, Workers: cfg.Workers, Context: ctx, Rand: rng}, w)
 		})
 	}
 	for _, tech := range cfg.ExtraTechniques {
-		tech := tech
-		learn := func(rng *rand.Rand) []anf.Poly {
-			return tech.Learn(ctx, sys, rng)
-		}
-		add(tech.Name(), proof.TechExtra, &res.Extra, learn, func(rng *rand.Rand) []ProvFact {
-			return wrapPlain(learn(rng), tech.Name())
-		})
+		add(tech.Name(), proof.TechExtra, tech.Name(), &res.Extra, plain(tech))
 	}
 	if cfg.EnableGroebner {
-		learn := func(rng *rand.Rand) []anf.Poly {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return RunGroebnerStep(sys, DefaultGroebnerConfig(rng))
-		}
-		add("Groebner", proof.TechGroebner, &res.Groebner, learn, func(rng *rand.Rand) []ProvFact {
-			return wrapPlain(learn(rng), "buchberger reduction")
-		})
+		add("Groebner", proof.TechGroebner, "buchberger reduction", &res.Groebner, plain(BuchbergerTechnique()))
 	}
 	return jobs
 }
 
 // runSnapshotPhase runs one iteration's fact learners against the
-// iteration-start system and merges their fact batches deterministically.
-// All learners see the same snapshot (they only read sys; each already
-// works on subsampled copies), so the learnt facts — and therefore the
+// iteration-start system and merges their fact batches in job order. All
+// learners see the same snapshot (they only read sys; each already works
+// on subsampled copies), so a learner sees the facts of the ones before it
+// from the next iteration on, and the learnt facts — and therefore the
 // whole Result — are identical for every Workers value; Workers > 1 only
-// changes how many run at once. Returns the number of new facts and false
-// if the merge derived a contradiction.
+// changes how many run at once. A learner starts only if the run has not
+// expired by the time it takes its slot. Returns the number of new facts
+// and false if the merge derived a contradiction.
 func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Result, iter int,
-	logf func(string, ...interface{})) (int, bool) {
+	expired func() bool, logf func(string, ...interface{})) (int, bool) {
 	sys := prop.Sys
 	jobs := snapshotJobs(ctx, sys, cfg, res, iter)
 	if len(jobs) == 0 {
@@ -117,14 +95,15 @@ func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Re
 	// below only ever take the table's read-only fast path.
 	sys.MonoTable()
 
-	prov := prop.prov != nil
 	run := func(j *techJob) {
-		rng := NewRNG(j.seed)
-		if prov {
-			j.pfacts = j.plearn(rng)
-		} else {
-			j.facts = j.learn(rng)
+		if expired() {
+			return
 		}
+		var w *witnessLog
+		if prop.prov != nil {
+			w = &j.log
+		}
+		j.facts, j.ran = j.learn(NewRNG(j.seed), w), true
 	}
 	if cfg.Workers > 1 {
 		sem := make(chan struct{}, cfg.Workers)
@@ -145,7 +124,7 @@ func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Re
 		}
 	}
 
-	// Merge in fixed technique order: one AddFacts per technique keeps the
+	// Merge in fixed technique order: one merge per technique keeps the
 	// per-phase stats and the propagation order seed-reproducible. Witness
 	// slots refer to the iteration-start system every learner saw, so the
 	// slot→record snapshot is taken once, before the first merge mutates
@@ -153,19 +132,14 @@ func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Re
 	snap := prop.ProvSnapshot()
 	total := 0
 	for _, j := range jobs {
-		var added int
-		var ok bool
-		n := len(j.facts)
-		if prov {
-			added, ok = prop.AddProvFacts(j.pfacts, j.tech, iter, snap)
-			n = len(j.pfacts)
-		} else {
-			added, ok = prop.AddFacts(j.facts)
+		if !j.ran {
+			continue
 		}
+		added, ok := prop.merge(j.facts, &j.log, j.tech, iter, snap)
 		j.stats.Runs++
 		j.stats.NewFacts += added
 		total += added
-		logf("iter %d: %s learnt %d facts (%d new)", iter, j.name, n, added)
+		logf("iter %d: %s learnt %d facts (%d new)", iter, j.name, len(j.facts), added)
 		if !ok {
 			return total, false
 		}

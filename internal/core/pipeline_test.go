@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/anf"
@@ -27,7 +28,7 @@ func TestDeriveSeedDecorrelated(t *testing.T) {
 	}
 }
 
-// resultFingerprint renders everything about a Result that the pipeline
+// resultFingerprint renders everything about a Result that the loop
 // promises to keep Workers-independent.
 func resultFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
@@ -46,10 +47,27 @@ func resultFingerprint(t *testing.T, r *Result) string {
 	return s
 }
 
-// TestProcessWorkersBitIdentical is the tentpole determinism contract: with
-// the snapshot pipeline enabled, the entire Result — verdict, solution,
-// learnt-fact counts, final system and variable state — must be bit-identical
-// for every Workers value ≥ 1.
+// ledgerFingerprint renders every record of a provenance ledger: its
+// technique, iteration, polynomial, note and witness terms.
+func ledgerFingerprint(r *Result) string {
+	var b strings.Builder
+	for i := 0; i < r.Provenance.Len(); i++ {
+		rec := r.Provenance.At(i)
+		fmt.Fprintf(&b, "%s %q:", rec, rec.Note)
+		for _, w := range rec.Witness {
+			fmt.Fprintf(&b, " (%s)·#%d", w.Mult, w.Src)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestProcessWorkersBitIdentical is the loop's determinism contract: the
+// entire Result — verdict, solution, learnt-fact counts, final system,
+// variable state and, when tracked, the fact ledger — must be
+// bit-identical for every Workers value, 0 included. Both kernels are
+// covered: untracked runs eliminate on Workers-wide M4R strips, tracked
+// ones on the witness-carrying RREF.
 func TestProcessWorkersBitIdentical(t *testing.T) {
 	instances := []*anf.System{
 		simon.GenerateInstance(simon.Params{NPlaintexts: 2, Rounds: 5},
@@ -57,35 +75,45 @@ func TestProcessWorkersBitIdentical(t *testing.T) {
 		sr.GenerateInstance(sr.Params{N: 1, R: 1, C: 2, E: 4},
 			rand.New(rand.NewSource(5))).Sys,
 	}
-	for i, sys := range instances {
-		cfg := DefaultConfig()
-		cfg.Seed = 9
-		cfg.EnableGroebner = true
-		cfg.Workers = 1
-		base := Process(sys, cfg)
-		want := resultFingerprint(t, base)
-		for _, w := range []int{2, 4} {
-			cfg.Workers = w
-			got := Process(sys, cfg)
-			if base.Status != got.Status || base.Iterations != got.Iterations {
-				t.Fatalf("instance %d: Workers=1 gave %v/%d, Workers=%d gave %v/%d",
-					i, base.Status, base.Iterations, w, got.Status, got.Iterations)
+	for _, prov := range []bool{false, true} {
+		for i, sys := range instances {
+			cfg := DefaultConfig()
+			cfg.Seed = 9
+			cfg.EnableGroebner = true
+			cfg.Provenance = prov
+			cfg.Workers = 0
+			base := Process(sys, cfg)
+			want := resultFingerprint(t, base)
+			var wantLedger string
+			if prov {
+				wantLedger = ledgerFingerprint(base)
 			}
-			if base.XL != got.XL || base.ElimLin != got.ElimLin ||
-				base.SAT != got.SAT || base.Groebner != got.Groebner ||
-				base.Extra != got.Extra ||
-				base.PropagationFacts != got.PropagationFacts {
-				t.Fatalf("instance %d: phase stats differ between Workers=1 and Workers=%d", i, w)
-			}
-			if fp := resultFingerprint(t, got); fp != want {
-				t.Fatalf("instance %d: result fingerprint differs between Workers=1 and Workers=%d", i, w)
+			for _, w := range []int{1, 2, 4} {
+				cfg.Workers = w
+				got := Process(sys, cfg)
+				if base.Status != got.Status || base.Iterations != got.Iterations {
+					t.Fatalf("instance %d, provenance %t: Workers=0 gave %v/%d, Workers=%d gave %v/%d",
+						i, prov, base.Status, base.Iterations, w, got.Status, got.Iterations)
+				}
+				if base.XL != got.XL || base.ElimLin != got.ElimLin ||
+					base.SAT != got.SAT || base.Groebner != got.Groebner ||
+					base.Extra != got.Extra ||
+					base.PropagationFacts != got.PropagationFacts {
+					t.Fatalf("instance %d, provenance %t: phase stats differ between Workers=0 and Workers=%d", i, prov, w)
+				}
+				if fp := resultFingerprint(t, got); fp != want {
+					t.Fatalf("instance %d, provenance %t: result fingerprint differs between Workers=0 and Workers=%d", i, prov, w)
+				}
+				if prov && ledgerFingerprint(got) != wantLedger {
+					t.Fatalf("instance %d: fact ledger differs between Workers=0 and Workers=%d", i, w)
+				}
 			}
 		}
 	}
 }
 
-// TestProcessWorkersSolves checks the snapshot pipeline still recovers the
-// key, i.e. parallelism does not cost solving power on the standard cases.
+// TestProcessWorkersSolves checks the loop still recovers the key with
+// four learners at once, i.e. parallelism does not cost solving power.
 func TestProcessWorkersSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inst := sr.GenerateInstance(sr.Params{N: 1, R: 1, C: 2, E: 4}, rng)
@@ -218,8 +246,9 @@ func BenchmarkElimLinIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessWorkers runs the whole loop on the Simon instance under
-// the snapshot pipeline — the end-to-end number the -j flag moves.
+// BenchmarkProcessWorkers runs the whole loop on the Simon instance with
+// one learner at a time and with four at once — the end-to-end number the
+// -j flag moves.
 func BenchmarkProcessWorkers(b *testing.B) {
 	sys := simon.GenerateInstance(simon.Params{NPlaintexts: 2, Rounds: 5},
 		rand.New(rand.NewSource(77))).Sys

@@ -222,63 +222,37 @@ func (p *Propagator) addFact(f anf.Poly, base []proof.Term, note string) bool {
 	return true
 }
 
-// AddFacts adds a batch, returning how many were new, and propagates to a
-// fixed point afterwards (the paper applies ANF propagation whenever
-// learnt facts are produced).
-func (p *Propagator) AddFacts(fs []anf.Poly) (int, bool) {
-	added := 0
-	for _, f := range fs {
-		if p.AddFact(f) {
-			added++
+// merge adds one producer's batch — a learner's or a SAT step's harvest —
+// returning how many facts were new, and propagates to a fixed point
+// afterwards (the paper applies ANF propagation whenever learnt facts are
+// produced). With provenance tracked, each fact's records are stamped
+// with tech and iter and carry the fact's witness and note from w, its
+// slots resolved through snap: the slot→record mapping of the system the
+// producer read, nil for the current one.
+func (p *Propagator) merge(fs []anf.Poly, w *witnessLog, tech string, iter int, snap []int) (int, bool) {
+	if p.prov != nil {
+		p.prov.setPhase(tech, iter)
+		if snap == nil {
+			snap = p.prov.slotRec
 		}
-		if p.Contradiction {
-			return added, false
-		}
-	}
-	if added > 0 {
-		if _, ok := p.Propagate(); !ok {
-			return added, false
-		}
-	}
-	return added, true
-}
-
-// AddProvFacts merges a batch of facts carrying slot-level witnesses:
-// each SlotTerm is resolved to the ledger record backing that slot (via
-// snap, a slot→record snapshot taken when the producing technique ran, or
-// the current mapping when snap is nil), the records are stamped with the
-// technique label and iteration, and the system propagates to a fixed
-// point afterwards. Without an attached tracker it degrades to AddFacts.
-func (p *Propagator) AddProvFacts(fs []ProvFact, technique string, iter int, snap []int) (int, bool) {
-	if p.prov == nil {
-		polys := make([]anf.Poly, len(fs))
-		for i, f := range fs {
-			polys[i] = f.Poly
-		}
-		return p.AddFacts(polys)
-	}
-	if snap == nil {
-		snap = p.prov.slotRec
 	}
 	added := 0
-	for _, f := range fs {
-		p.prov.setPhase(technique, iter)
+	for i, f := range fs {
 		var base []proof.Term
-		for _, t := range f.Witness {
-			src := -1
-			if t.Slot >= 0 && t.Slot < len(snap) {
-				src = snap[t.Slot]
-			}
-			base = append(base, proof.Term{Mult: t.Mult, Src: src})
+		var note string
+		if p.prov != nil {
+			base, note = w.resolve(i, snap)
 		}
-		if p.addFact(f.Poly, base, f.Note) {
+		if p.addFact(f, base, note) {
 			added++
 		}
 		if p.Contradiction {
 			return added, false
 		}
 	}
-	p.prov.setPhase(proof.TechPropagation, iter)
+	if p.prov != nil {
+		p.prov.setPhase(proof.TechPropagation, iter)
+	}
 	if added > 0 {
 		if _, ok := p.Propagate(); !ok {
 			return added, false

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/anf"
+	"repro/internal/proof"
 )
 
 func sysFrom(t *testing.T, src string) *anf.System {
@@ -222,7 +223,7 @@ x2*x3 + x5 + 1
 		anf.MustParsePoly("x3 + 1"),
 		anf.MustParsePoly("x1 + x2"),
 	}
-	if _, ok := p.AddFacts(facts); !ok {
+	if _, ok := p.merge(facts, nil, proof.TechPropagation, 0, nil); !ok {
 		t.Fatal("adding XL facts contradicted")
 	}
 	// Expected unique solution: x1=x2=x3=x4=1, x5=0 (equation (2)).

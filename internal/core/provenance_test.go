@@ -40,8 +40,8 @@ func randomPlantedSystem(rng *rand.Rand, nVars int) *anf.System {
 }
 
 // Provenance tracking must be an observer: the engine with tracking on
-// learns exactly the facts it learns with tracking off, for both the
-// sequential loop and the snapshot pipeline.
+// learns exactly the facts it learns with tracking off, with one learner
+// at a time and with several at once.
 func TestProvenanceDoesNotChangeResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	systems := []*anf.System{sysFrom(t, paperExample)}
@@ -87,7 +87,7 @@ func TestProvenanceDoesNotChangeResult(t *testing.T) {
 
 // Every record the tracked engine writes must re-derive against the
 // original input system — the tentpole's 100%-verification criterion at
-// the engine level, for both engine modes.
+// the engine level, with one learner at a time and with two at once.
 func TestProvenanceVerifiesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	systems := []*anf.System{

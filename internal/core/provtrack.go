@@ -17,25 +17,47 @@ type SlotTerm struct {
 	Slot int
 }
 
-// ProvFact is a learnt fact together with its algebraic witness: the claim
-// Poly = Σ Witness[i].Mult · slotPoly(Witness[i].Slot) in the Boolean
-// ring. A nil Witness means the producer could not track the derivation
-// (SAT-learnt facts, for example); verification then falls back to
-// refutation.
-type ProvFact struct {
-	Poly    anf.Poly
-	Witness []SlotTerm
-	Note    string
+// witnessLog records how a learner derived its facts, parallel to the
+// facts it returns: fact i's witness is wits[i], the claim fact =
+// Σ wits[i][k].Mult · slotPoly(wits[i][k].Slot) in the Boolean ring, and
+// its ledger note is notes[i]. A fact past the end of wits has no witness
+// — its producer could not track the derivation (SAT-learnt facts, extra
+// techniques), so verification falls back to refutation — and a fact past
+// the end of notes gets the default note. Learners get a nil *witnessLog
+// when provenance is off and then record nothing.
+type witnessLog struct {
+	wits  [][]SlotTerm
+	notes []string
+	note  string // the default note
 }
 
-// wrapPlain lifts witness-less facts (extra techniques, the Gröbner phase,
-// SAT harvests) into ProvFacts.
-func wrapPlain(facts []anf.Poly, note string) []ProvFact {
-	out := make([]ProvFact, len(facts))
-	for i, f := range facts {
-		out[i] = ProvFact{Poly: f, Note: note}
+// record appends the witness and note of the learner's next fact.
+func (w *witnessLog) record(wit []SlotTerm, note string) {
+	w.wits = append(w.wits, wit)
+	w.notes = append(w.notes, note)
+}
+
+// resolve returns fact i's witness in ledger terms, each slot resolved
+// through snap (-1 where it cannot be attributed), and its note.
+func (w *witnessLog) resolve(i int, snap []int) ([]proof.Term, string) {
+	if w == nil {
+		return nil, ""
 	}
-	return out
+	note := w.note
+	if i < len(w.notes) {
+		note = w.notes[i]
+	}
+	var base []proof.Term
+	if i < len(w.wits) {
+		for _, t := range w.wits[i] {
+			src := -1
+			if t.Slot >= 0 && t.Slot < len(snap) {
+				src = snap[t.Slot]
+			}
+			base = append(base, proof.Term{Mult: t.Mult, Src: src})
+		}
+	}
+	return base, note
 }
 
 // provEq is one link of the provenance-side equivalence forest: the ledger

@@ -17,7 +17,8 @@ import (
 //
 // The built-in phases (XL, ElimLin, the SAT step, the optional Buchberger
 // phase) are hard-wired for fidelity with the paper's Fig. 1; extra
-// techniques run after ElimLin each iteration, in registration order.
+// techniques read the same iteration-start system as XL and ElimLin, and
+// their facts merge after ElimLin's, in registration order.
 type Technique interface {
 	// Name identifies the technique in logs and statistics.
 	Name() string

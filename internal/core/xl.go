@@ -46,13 +46,21 @@ func DefaultXLConfig(rng *rand.Rand) XLConfig {
 // linear polynomials and monomial-plus-one polynomials read off the
 // Gauss–Jordan-reduced linearization (Table I's "retained" rows).
 func RunXL(sys *anf.System, cfg XLConfig) []anf.Poly {
+	return runXL(sys, cfg, nil)
+}
+
+// runXL is the XL pass. A non-nil w also gets a witness per learnt fact: a
+// GF(2) combination of multiplier·slot-polynomial products, read off the
+// ops matrix of the tracked elimination.
+func runXL(sys *anf.System, cfg XLConfig, w *witnessLog) []anf.Poly {
 	if cfg.Deg < 0 {
 		cfg.Deg = 1
 	}
 	if ctxCanceled(cfg.Context) {
 		return nil
 	}
-	polys := subsample(sys, cfg.M, cfg.Rand)
+	track := w != nil
+	polys, slots := subsample(sys, cfg.M, cfg.Rand, track)
 	if len(polys) == 0 {
 		return nil
 	}
@@ -62,25 +70,34 @@ func RunXL(sys *anf.System, cfg XLConfig) []anf.Poly {
 	// produced, which both tracks the distinct-monomial count incrementally
 	// (the old implementation re-counted from scratch) and pre-computes the
 	// integer column IDs the linearization step indexes by.
-	sort.SliceStable(polys, func(i, j int) bool { return polys[i].Deg() < polys[j].Deg() })
+	sort.Stable(byDeg{polys, slots})
 	limit := uint64(1) << uint(cfg.M+cfg.DeltaM)
 	scratch := getLinScratch()
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	expanded := make([]anf.Poly, 0, 2*len(polys))
-	push := func(q anf.Poly) {
+	// srcs[r], tracked only: expanded row r is mult · the polynomial of slot.
+	type rowSrc struct {
+		slot int
+		mult anf.Monomial
+	}
+	var srcs []rowSrc
+	push := func(q anf.Poly, i int, mult anf.Monomial) {
 		expanded = append(expanded, q)
 		scratch.ids = tab.AppendTermIDs(scratch.ids, q)
+		if track {
+			srcs = append(srcs, rowSrc{slot: slots[i], mult: mult})
+		}
 	}
-	for _, p := range polys {
-		push(p)
+	for i, p := range polys {
+		push(p, i, anf.One)
 	}
 	// Collect the variables of the sampled subsystem as degree-1
 	// multipliers (D = 1); for D > 1, products of those variables.
 	vars := collectVars(polys)
 	multipliers := buildMultipliers(vars, cfg.Deg)
 expansion:
-	for _, p := range polys {
+	for i, p := range polys {
 		if ctxCanceled(cfg.Context) {
 			return nil
 		}
@@ -89,7 +106,7 @@ expansion:
 			if q.IsZero() {
 				continue
 			}
-			push(q)
+			push(q, i, m)
 			if uint64(len(expanded))*uint64(tab.Len()) > limit {
 				break expansion
 			}
@@ -98,10 +115,21 @@ expansion:
 	if ctxCanceled(cfg.Context) {
 		return nil
 	}
+	rows, ops := gjeRowsIDs(expanded, scratch.ids, tab, cfg.Workers, track, scratch)
 	var facts []anf.Poly
-	for _, p := range gjeRowsIDs(expanded, scratch.ids, tab, cfg.Workers, scratch) {
-		if p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne() {
-			facts = append(facts, p)
+	for r, p := range rows {
+		if !(p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne()) {
+			continue
+		}
+		facts = append(facts, p)
+		if track {
+			var wit []SlotTerm
+			for j, src := range srcs {
+				if ops.Get(r, j) {
+					wit = append(wit, SlotTerm{Mult: anf.FromMonomials(src.mult), Slot: src.slot})
+				}
+			}
+			w.record(canonSlotTerms(wit), "gje row")
 		}
 	}
 	return facts
@@ -110,42 +138,37 @@ expansion:
 // subsample uniformly picks equations until the linearized size
 // (rows × distinct monomials) reaches about 2^M (§II-B: m′·n′ ≳ 2^M). The
 // distinct-monomial count runs over the system's interned IDs — a bitmap
-// probe per term instead of the string-keyed map the seed used.
-func subsample(sys *anf.System, m int, rng *rand.Rand) []anf.Poly {
-	all := sys.Polys()
-	idxs := subsampleIdx(sys, m, rng)
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]anf.Poly, len(idxs))
-	for i, idx := range idxs {
-		out[i] = all[idx]
-	}
-	return out
-}
-
-// subsampleIdx is subsample returning indices into sys.Polys() instead of
-// the polynomials, so provenance-tracking callers can attribute each
-// sampled equation to its system slot. It consumes the RNG exactly as
-// subsample does (one Perm call), keeping tracked and untracked runs on
-// identical random streams.
-func subsampleIdx(sys *anf.System, m int, rng *rand.Rand) []int {
+// probe per term instead of the string-keyed map the seed used. With
+// withSlots it also returns the equation slot of each pick, which
+// provenance witnesses refer to; the random stream is the same either way.
+func subsample(sys *anf.System, m int, rng *rand.Rand, withSlots bool) ([]anf.Poly, []int) {
 	// Warm the table before snapshotting: MonoTable() rewrites the stored
 	// polynomials with canonical interned terms, so the polys we pull carry
 	// their IDs and every ID() below is an O(1) fast-path hit.
 	tab := sys.MonoTable()
 	all := sys.Polys()
 	if len(all) == 0 {
-		return nil
+		return nil, nil
+	}
+	var allSlots, slots []int // allSlots[k]: the slot holding all[k]
+	if withSlots {
+		for i := 0; i < sys.RawLen(); i++ {
+			if !sys.At(i).IsZero() {
+				allSlots = append(allSlots, i)
+			}
+		}
 	}
 	target := uint64(1) << uint(m)
 	perm := rng.Perm(len(all))
 	seen := make([]bool, tab.Len())
 	distinct := 0
-	var out []int
+	var out []anf.Poly
 	for _, idx := range perm {
 		p := all[idx]
-		out = append(out, idx)
+		out = append(out, p)
+		if withSlots {
+			slots = append(slots, allSlots[idx])
+		}
 		for _, t := range p.Terms() {
 			if id := tab.ID(t); !seen[id] {
 				seen[id] = true
@@ -156,19 +179,23 @@ func subsampleIdx(sys *anf.System, m int, rng *rand.Rand) []int {
 			break
 		}
 	}
-	return out
+	return out, slots
 }
 
-// polysSlots maps sys.Polys() indices back to raw equation slots: entry k
-// is the slot holding the k-th non-zero polynomial.
-func polysSlots(sys *anf.System) []int {
-	out := make([]int, 0, sys.RawLen())
-	for i := 0; i < sys.RawLen(); i++ {
-		if !sys.At(i).IsZero() {
-			out = append(out, i)
-		}
+// byDeg stably orders a subsample by degree, carrying its slots along
+// when they are tracked.
+type byDeg struct {
+	polys []anf.Poly
+	slots []int
+}
+
+func (s byDeg) Len() int           { return len(s.polys) }
+func (s byDeg) Less(i, j int) bool { return s.polys[i].Deg() < s.polys[j].Deg() }
+func (s byDeg) Swap(i, j int) {
+	s.polys[i], s.polys[j] = s.polys[j], s.polys[i]
+	if s.slots != nil {
+		s.slots[i], s.slots[j] = s.slots[j], s.slots[i]
 	}
-	return out
 }
 
 func collectVars(polys []anf.Poly) []anf.Var {
@@ -208,147 +235,39 @@ func buildMultipliers(vars []anf.Var, deg int) []anf.Monomial {
 	return out
 }
 
-// RunXLProv is RunXL with provenance: the same subsample, expansion and
-// reduction (the RREF of a matrix is unique, so the tracked plain
-// elimination returns bit-identical rows to the M4R kernel RunXL uses),
-// plus a witness per learnt fact expressing it as a GF(2) combination of
-// multiplier·slot-polynomial products read off the elimination's ops
-// matrix.
-func RunXLProv(sys *anf.System, cfg XLConfig) []ProvFact {
-	if cfg.Deg < 0 {
-		cfg.Deg = 1
-	}
-	if ctxCanceled(cfg.Context) {
-		return nil
-	}
-	idxs := subsampleIdx(sys, cfg.M, cfg.Rand)
-	if len(idxs) == 0 {
-		return nil
-	}
-	slots := polysSlots(sys)
-	all := sys.Polys()
-	type sampled struct {
-		p    anf.Poly
-		slot int
-	}
-	polys := make([]sampled, len(idxs))
-	for i, idx := range idxs {
-		polys[i] = sampled{p: all[idx], slot: slots[idx]}
-	}
-	// Mirror RunXL's stable degree sort; the comparator reads only the
-	// polynomials, so co-sorting the slots preserves the permutation.
-	sort.SliceStable(polys, func(i, j int) bool { return polys[i].p.Deg() < polys[j].p.Deg() })
-	limit := uint64(1) << uint(cfg.M+cfg.DeltaM)
-	scratch := getLinScratch()
-	defer putLinScratch(scratch)
-	tab := scratch.tab
-	expanded := make([]anf.Poly, 0, 2*len(polys))
-	type rowSrc struct {
-		slot int
-		mult anf.Monomial
-	}
-	srcs := make([]rowSrc, 0, 2*len(polys))
-	push := func(q anf.Poly, slot int, mult anf.Monomial) {
-		expanded = append(expanded, q)
-		srcs = append(srcs, rowSrc{slot: slot, mult: mult})
-		scratch.ids = tab.AppendTermIDs(scratch.ids, q)
-	}
-	one := anf.NewMonomial()
-	for _, s := range polys {
-		push(s.p, s.slot, one)
-	}
-	plain := make([]anf.Poly, len(polys))
-	for i, s := range polys {
-		plain[i] = s.p
-	}
-	vars := collectVars(plain)
-	multipliers := buildMultipliers(vars, cfg.Deg)
-expansion:
-	for _, s := range polys {
-		if ctxCanceled(cfg.Context) {
-			return nil
-		}
-		for _, m := range multipliers {
-			q := s.p.MulMonomial(m)
-			if q.IsZero() {
-				continue
-			}
-			push(q, s.slot, m)
-			if uint64(len(expanded))*uint64(tab.Len()) > limit {
-				break expansion
-			}
-		}
-	}
-	if ctxCanceled(cfg.Context) {
-		return nil
-	}
-	rows, ops := gjeRowsIDsTracked(expanded, scratch.ids, tab, scratch)
-	var facts []ProvFact
-	for r, p := range rows {
-		if !(p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne()) {
-			continue
-		}
-		var wit []SlotTerm
-		for j := range expanded {
-			if ops.Get(r, j) {
-				wit = append(wit, SlotTerm{Mult: anf.FromMonomials(srcs[j].mult), Slot: srcs[j].slot})
-			}
-		}
-		facts = append(facts, ProvFact{Poly: p, Witness: canonSlotTerms(wit), Note: "gje row"})
-	}
-	return facts
-}
-
 // gjeRows linearizes the polynomials (one column per distinct monomial,
-// constant column last), runs Gauss–Jordan elimination with the M4R
-// kernel, and returns every nonzero reduced row as a polynomial.
-func gjeRows(polys []anf.Poly) []anf.Poly {
-	return gjeRowsWorkers(polys, 0)
-}
-
-// gjeRowsWorkers is gjeRows with an explicit elimination fan-out. The
-// interning table and ID buffers come from the pooled scratch: ElimLin
-// calls this once per substitution round, and the reset-not-reallocate
-// lifecycle keeps the rounds allocation-light.
-func gjeRowsWorkers(polys []anf.Poly, workers int) []anf.Poly {
+// constant column last), runs Gauss–Jordan elimination, and returns every
+// nonzero reduced row as a polynomial, plus the ops matrix when track is
+// set (see gjeRowsIDs). The interning table and ID buffers come from the
+// pooled scratch: ElimLin calls this once per substitution round, and the
+// reset-not-reallocate lifecycle keeps the rounds allocation-light.
+func gjeRows(polys []anf.Poly, workers int, track bool) ([]anf.Poly, *gf2.Matrix) {
 	scratch := getLinScratch()
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	for _, p := range polys {
 		scratch.ids = tab.AppendTermIDs(scratch.ids, p)
 	}
-	return gjeRowsIDs(polys, scratch.ids, tab, workers, scratch)
+	return gjeRowsIDs(polys, scratch.ids, tab, workers, track, scratch)
 }
 
 // gjeRowsIDs is the linearize→eliminate→extract kernel. ids holds the
 // term IDs of every polynomial, concatenated in row order (row r owns the
 // next polys[r].NumTerms() entries), with every ID already interned in
 // tab — so each column index is an integer array lookup and the hot path
-// does no string hashing at all.
-func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, workers int, s *linScratch) []anf.Poly {
+// does no string hashing at all. Untracked, the M4R kernel eliminates
+// with the given fan-out and ops is nil. Tracked, the plain elimination
+// also returns ops, whose row r writes reduced row r as a combination of
+// the input polynomials. The RREF is unique, so the rows are the same.
+func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, workers int, track bool, s *linScratch) ([]anf.Poly, *gf2.Matrix) {
 	mat, order, monos := linearize(polys, ids, tab, s)
-	rank := mat.RREFM4RWorkers(workers)
-	return extractRows(mat, rank, order, monos)
-}
-
-// gjeRowsTracked is gjeRowsWorkers via the tracked plain elimination,
-// returning the reduced rows together with the ops matrix attributing each
-// row to a combination of the input polynomials. The reduced rows are
-// bit-identical to the untracked kernel's (RREF is unique).
-func gjeRowsTracked(polys []anf.Poly) ([]anf.Poly, *gf2.Matrix) {
-	scratch := getLinScratch()
-	defer putLinScratch(scratch)
-	tab := scratch.tab
-	for _, p := range polys {
-		scratch.ids = tab.AppendTermIDs(scratch.ids, p)
+	var rank int
+	var ops *gf2.Matrix
+	if track {
+		rank, ops = mat.RREFTracked()
+	} else {
+		rank = mat.RREFM4RWorkers(workers)
 	}
-	return gjeRowsIDsTracked(polys, scratch.ids, tab, scratch)
-}
-
-// gjeRowsIDsTracked is gjeRowsIDs with row-operation tracking.
-func gjeRowsIDsTracked(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch) ([]anf.Poly, *gf2.Matrix) {
-	mat, order, monos := linearize(polys, ids, tab, s)
-	rank, ops := mat.RREFTracked()
 	return extractRows(mat, rank, order, monos), ops
 }
 
@@ -357,14 +276,7 @@ func gjeRowsIDsTracked(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *li
 // reduction eliminates high-degree monomials first, mirroring Table I.
 func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch) (*gf2.Matrix, []uint32, []anf.Monomial) {
 	monos := tab.Monos()
-	var order []uint32
-	var col []int // monomial ID → matrix column
-	if s != nil {
-		order, col = s.orderBufs(len(monos))
-	} else {
-		order = make([]uint32, len(monos))
-		col = make([]int, len(monos))
-	}
+	order, col := s.orderBufs(len(monos)) // col: monomial ID → matrix column
 	for i := range order {
 		order[i] = uint32(i)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/anf"
+	"repro/internal/proof"
 )
 
 // TestTableI reproduces the paper's Table I: XL with D=1 on the system
@@ -47,7 +48,7 @@ x2*x3 + x5 + 1
 	// pin the unique solution after propagation.
 	p := NewPropagator(sys.Clone())
 	p.Propagate()
-	if _, ok := p.AddFacts(facts); !ok {
+	if _, ok := p.merge(facts, nil, proof.TechPropagation, 0, nil); !ok {
 		t.Fatal("XL facts contradicted the system")
 	}
 	want := []struct {
@@ -156,8 +157,9 @@ func TestElimLinPaperExample(t *testing.T) {
 	}
 }
 
-// TestElimLinWorkedExample checks §II-E: the workflow is sequential, so
-// ElimLin runs after XL's facts have been added to the system; its initial
+// TestElimLinWorkedExample checks §II-E: in the paper's sequential
+// workflow ElimLin runs after XL's facts have been added to the system
+// (Process hands them to ElimLin from the next iteration on); its initial
 // GJE then sees the four linear equations the paper lists, substitutes
 // them, and learns x1 ⊕ 1.
 func TestElimLinWorkedExample(t *testing.T) {
@@ -178,7 +180,7 @@ x1 + x2
 	// x1 ⊕ 1); what matters is that it forces the paper's assignment.
 	p := NewPropagator(sys.Clone())
 	p.Propagate()
-	if _, ok := p.AddFacts(facts); !ok {
+	if _, ok := p.merge(facts, nil, proof.TechPropagation, 0, nil); !ok {
 		t.Fatal("ElimLin facts contradicted the system")
 	}
 	if b, ok := p.State.Value(1); !ok || !b {

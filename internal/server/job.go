@@ -204,9 +204,17 @@ func parseJob(req Request) (*job, error) {
 		jb.formText = ft.String()
 	}
 
+	// Only a cube run depends on workers (its pool size changes the run):
+	// process and solve give the same result at every learner fan-out
+	// (core.Config.Workers) and portfolio ignores it, so for them workers
+	// stays out of the key.
+	workers := req.Workers
+	if jb.kind != kindCube {
+		workers = 0
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "mode=%d|iters=%d|confl=%d|seed=%d|workers=%d|timeout=%d|verify=%t|cubes=%d|proof=%t|route=%t|nonativexor=%t|",
-		jb.kind, req.MaxIterations, req.ConflictBudget, req.Seed, req.Workers, req.TimeoutMS, req.Verify,
+		jb.kind, req.MaxIterations, req.ConflictBudget, req.Seed, workers, req.TimeoutMS, req.Verify,
 		req.MaxCubes, req.Proof, req.Route, req.NoNativeXor)
 	h.Write([]byte(canon.String()))
 	jb.key = hex.EncodeToString(h.Sum(nil))

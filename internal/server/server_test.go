@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +235,40 @@ func TestCacheHit(t *testing.T) {
 	}
 	if got := s.Metrics().CacheHits.Load(); got != 1 {
 		t.Errorf("CacheHits = %d, want 1", got)
+	}
+}
+
+// Process and solve results do not depend on the learner fan-out, and
+// portfolio ignores workers, so a request that differs only in workers is
+// served from the cache with the same answer. Cube runs, whose pool size
+// changes the run, keep workers in the key.
+func TestCacheKeyIgnoresEngineWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	req := Request{Format: "anf", Input: easyANF, Mode: "process"}
+	_, first := postJob(t, ts.URL, req)
+	if first == nil || first.Cached {
+		t.Fatalf("first job: %+v", first)
+	}
+	req.Workers = 2
+	_, second := postJob(t, ts.URL, req)
+	if second == nil || !second.Cached {
+		t.Fatalf("workers=2 job not served from cache: %+v", second)
+	}
+	if second.Status != first.Status || second.ANF != first.ANF || !reflect.DeepEqual(second.Facts, first.Facts) {
+		t.Errorf("cached answer differs: %+v vs %+v", second, first)
+	}
+	for _, mode := range []string{"process", "solve", "portfolio", "cube"} {
+		one, err := parseJob(Request{Format: "anf", Input: easyANF, Mode: mode, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		four, err := parseJob(Request{Format: "anf", Input: easyANF, Mode: mode, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split := one.key != four.key; split != (mode == "cube") {
+			t.Errorf("mode %s: workers splits the cache key = %v", mode, split)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ echo "==> parity clause fuzz (a few seconds)"
 go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
 
 echo "==> bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'XL|RREF|ElimLin' -benchtime 1x \
+go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers' -benchtime 1x \
 	./internal/anf ./internal/core ./internal/gf2
 
 echo "==> perfbench module (vet, tests, one-second traced run)"

@@ -8,11 +8,11 @@ import (
 )
 
 // End-to-end provenance: every instance under examples/instances flows
-// through the full pipeline (both engine modes, solve and preprocess)
-// with tracking on, and every fact in the resulting ledger must
-// independently re-derive against the original system. check.sh runs
-// this under -race, so the snapshot pipeline's concurrent provenance
-// variants are exercised too.
+// through the full pipeline (one learner at a time and two at once, solve
+// and preprocess) with tracking on, and every fact in the resulting ledger
+// must independently re-derive against the original system. check.sh runs
+// this under -race, so the concurrent learners' witness recording is
+// exercised too.
 func TestExamplesProvenanceVerifies(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "instances", "*.anf"))
 	if err != nil {
