@@ -93,10 +93,10 @@ type Options struct {
 	Context context.Context
 	// Seed fixes all randomness for reproducible runs.
 	Seed int64
-	// Workers sets how many fact learners (and elimination strips) run at
-	// once; 0 and 1 run them one after another. Each iteration's learners
-	// read the iteration-start system and their facts merge in a fixed
-	// order, so the result is identical for every value.
+	// Workers sets how many fact learners run at once; 0 and 1 run them
+	// one after another. Each iteration's learners read the
+	// iteration-start system and their facts merge in a fixed order, so
+	// the result is identical for every value.
 	Workers int
 	// Log receives progress lines when non-nil.
 	Log io.Writer

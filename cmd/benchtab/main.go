@@ -136,14 +136,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// perfMeasurement is one kernel timing plus the execution context it was
-// taken under. Earlier snapshots recorded a single top-level gomaxprocs,
-// which silently misdescribed the wN entries on machines whose GOMAXPROCS
-// differs from the worker count requested; every entry now carries its own
-// worker count and the GOMAXPROCS in effect while it ran.
+// perfMeasurement is one kernel timing plus the GOMAXPROCS in effect
+// while it ran. Every kernel runs on one goroutine; the "workers" field
+// of the frozen snapshots is ignored on read.
 type perfMeasurement struct {
 	Ns         int64 `json:"ns"`
-	Workers    int   `json:"workers"`
 	GOMAXPROCS int   `json:"gomaxprocs"`
 }
 
@@ -176,9 +173,9 @@ type perfBlob struct {
 }
 
 // perfSnapshot times the hot kernels this reproduction optimizes — the XL
-// linearization pass, the ElimLin rounds loop, the (optionally parallel)
-// M4R elimination, and (since PR 5) the CDCL solver's propagation-heavy
-// and conflict-analysis-heavy benchmark families — and writes the medians
+// linearization pass, the ElimLin rounds loop, the M4R elimination, and
+// (since PR 5) the CDCL solver's propagation-heavy and
+// conflict-analysis-heavy benchmark families — and writes the medians
 // as JSON, so successive PRs can diff like against like (see
 // BENCH_pr1.json, BENCH_pr5.json). The CDCL entries carry allocs/op and
 // bytes/op alongside ns/op: the arena clause store's target is both.
@@ -224,12 +221,12 @@ func perfSnapshot(path string, seed int64, quick bool, stderr io.Writer) error {
 	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	base := randMatrix(matN, seed)
-	medianRREF := func(w int) int64 {
+	medianRREF := func() int64 {
 		times := make([]int64, runs)
 		for i := range times {
 			m := base.Clone()
 			t0 := time.Now()
-			m.RREFM4RWorkers(w)
+			m.RREFM4R()
 			times[i] = time.Since(t0).Nanoseconds()
 		}
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
@@ -239,19 +236,17 @@ func perfSnapshot(path string, seed int64, quick bool, stderr io.Writer) error {
 		"xl_sr_ns": {Ns: median(func() {
 			core.RunXL(srSys, core.XLConfig{M: 20, DeltaM: 4, Deg: 1,
 				Rand: rand.New(rand.NewSource(seed))})
-		}), Workers: 1, GOMAXPROCS: maxprocs},
+		}), GOMAXPROCS: maxprocs},
 		"elimlin_sr_ns": {Ns: median(func() {
 			core.RunElimLin(srSys, core.ElimLinConfig{M: 20,
 				Rand: rand.New(rand.NewSource(seed))})
-		}), Workers: 1, GOMAXPROCS: maxprocs},
+		}), GOMAXPROCS: maxprocs},
 	}
 	// The key names the matrix size so a -quick snapshot (n=128) can never
-	// masquerade as a full one; at the default n=1024 the keys match the
+	// masquerade as a full one; at the default n=1024 the key matches the
 	// frozen baselines.
 	measurements[fmt.Sprintf("rref_m4r_%d_w1_ns", matN)] =
-		perfMeasurement{Ns: medianRREF(1), Workers: 1, GOMAXPROCS: maxprocs}
-	measurements[fmt.Sprintf("rref_m4r_%d_wN_ns", matN)] =
-		perfMeasurement{Ns: medianRREF(maxprocs), Workers: maxprocs, GOMAXPROCS: maxprocs}
+		perfMeasurement{Ns: medianRREF(), GOMAXPROCS: maxprocs}
 	results := make(map[string]int64, len(measurements))
 	for k, m := range measurements {
 		results[k] = m.Ns

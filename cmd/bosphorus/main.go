@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		routeFlag = fs.Bool("route", false, "classify the converted CNF and route tractable fragments (2SAT/Horn/XOR) to polynomial solvers before CDCL")
 		nativeXor = fs.Bool("native-xor", true, "keep XOR constraints as native parity clauses in the SAT solver (false = differential CNF-cut/Gauss baseline)")
 		groebner  = fs.Bool("groebner", false, "enable the budgeted Buchberger phase (§V)")
-		workers   = fs.Int("j", 0, "fact learners (and elimination strips) run at once; 0 and 1 = one at a time. The result is identical for every value")
+		workers   = fs.Int("j", 0, "fact learners run at once; 0 and 1 = one at a time. The result is identical for every value")
 		enum      = fs.Int("enum", 0, "enumerate up to N solutions of the processed system over the original variables")
 		proofOut  = fs.String("proof", "", "capture a DRAT proof from the refuting SAT step and write it here (the exact CNF it is against goes to <path>.cnf for proofcheck)")
 		proofFmt  = fs.String("proof-format", "text", "proof encoding: text | bin")

@@ -14,9 +14,6 @@ type ElimLinConfig struct {
 	// MaxRounds caps the GJE–substitute iterations (a safety valve; the
 	// algorithm terminates when no linear equations remain).
 	MaxRounds int
-	// Workers is the fan-out for the GF(2) elimination kernel (≤ 1 =
-	// sequential). The result is identical for every value.
-	Workers int
 	// Context, when non-nil, cancels the run: RunElimLin polls it at every
 	// GJE–substitute round boundary and returns the facts learnt so far.
 	// A nil Context never cancels.
@@ -67,7 +64,7 @@ func runElimLin(sys *anf.System, cfg ElimLinConfig, w *witnessLog) []anf.Poly {
 			return learnt
 		}
 		// Step (1): GJE on the linearization.
-		reduced, ops := gjeRows(work, cfg.Workers, track)
+		reduced, ops := gjeRows(work, track)
 		// Step (2): gather the linear equations.
 		var linear, rest []anf.Poly
 		var linWits, restWits [][]SlotTerm

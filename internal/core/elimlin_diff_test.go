@@ -63,7 +63,7 @@ func sweepElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
 		var linear, rest []anf.Poly
-		reduced, _ := gjeRows(work, 0, false)
+		reduced, _ := gjeRows(work, false)
 		for _, p := range reduced {
 			switch {
 			case p.IsZero():
@@ -112,7 +112,7 @@ func sweepElimLinProv(sys *anf.System, cfg ElimLinConfig) ([]anf.Poly, *witnessL
 	}
 	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
-		reduced, ops := gjeRows(work, 0, true)
+		reduced, ops := gjeRows(work, true)
 		var linear, rest []anf.Poly
 		var linWits, restWits [][]SlotTerm
 		for r, p := range reduced {

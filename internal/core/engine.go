@@ -90,9 +90,9 @@ type Config struct {
 	// ProbeMax bounds probing per SAT step (0 = all variables).
 	ProbeMax int
 
-	// Workers sets how many fact learners, and how many GF(2) elimination
-	// strips within each, run at once; 0 and 1 both run them one after
-	// another. Every iteration runs its enabled learners (XL, ElimLin,
+	// Workers sets how many fact learners run at once; 0 and 1 both run
+	// them one after another, and each learner eliminates on one
+	// goroutine. Every iteration runs its enabled learners (XL, ElimLin,
 	// ExtraTechniques, Gröbner) against the iteration-start system, each
 	// with its own RNG derived from Seed, the iteration and its place in
 	// that order, and merges their fact batches in that order before the

@@ -57,12 +57,12 @@ func snapshotJobs(ctx context.Context, sys *anf.System, cfg Config, res *Result,
 	}
 	if !cfg.DisableXL {
 		add("XL", proof.TechXL, "", &res.XL, func(rng *rand.Rand, w *witnessLog) []anf.Poly {
-			return runXL(sys, XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Workers: cfg.Workers, Context: ctx, Rand: rng}, w)
+			return runXL(sys, XLConfig{M: cfg.M, DeltaM: cfg.DeltaM, Deg: cfg.XLDeg, Context: ctx, Rand: rng}, w)
 		})
 	}
 	if !cfg.DisableElimLin {
 		add("ElimLin", proof.TechElimLin, "", &res.ElimLin, func(rng *rand.Rand, w *witnessLog) []anf.Poly {
-			return runElimLin(sys, ElimLinConfig{M: cfg.M, Workers: cfg.Workers, Context: ctx, Rand: rng}, w)
+			return runElimLin(sys, ElimLinConfig{M: cfg.M, Context: ctx, Rand: rng}, w)
 		})
 	}
 	for _, tech := range cfg.ExtraTechniques {

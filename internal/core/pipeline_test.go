@@ -66,8 +66,8 @@ func ledgerFingerprint(r *Result) string {
 // entire Result — verdict, solution, learnt-fact counts, final system,
 // variable state and, when tracked, the fact ledger — must be
 // bit-identical for every Workers value, 0 included. Both kernels are
-// covered: untracked runs eliminate on Workers-wide M4R strips, tracked
-// ones on the witness-carrying RREF.
+// covered: untracked runs eliminate with M4R, tracked ones with the
+// witness-carrying RREF, and in both the learners run Workers at once.
 func TestProcessWorkersBitIdentical(t *testing.T) {
 	instances := []*anf.System{
 		simon.GenerateInstance(simon.Params{NPlaintexts: 2, Rounds: 5},

@@ -24,9 +24,6 @@ type XLConfig struct {
 	// Deg is D, the maximum degree of the multiplier monomials (the paper
 	// runs with D = 1: multiply by 1 and by each single variable).
 	Deg int
-	// Workers is the fan-out for the GF(2) elimination kernel (≤ 1 =
-	// sequential). The result is identical for every value.
-	Workers int
 	// Context, when non-nil, cancels the pass: RunXL polls it at expansion
 	// and elimination boundaries and returns nil facts promptly after
 	// cancellation. A nil Context never cancels.
@@ -115,7 +112,7 @@ expansion:
 	if ctxCanceled(cfg.Context) {
 		return nil
 	}
-	rows, ops := gjeRowsIDs(expanded, scratch.ids, tab, cfg.Workers, track, scratch)
+	rows, ops := gjeRowsIDs(expanded, scratch.ids, tab, track, scratch)
 	var facts []anf.Poly
 	for r, p := range rows {
 		if !(p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne()) {
@@ -241,14 +238,14 @@ func buildMultipliers(vars []anf.Var, deg int) []anf.Monomial {
 // set (see gjeRowsIDs). The interning table and ID buffers come from the
 // pooled scratch: ElimLin calls this once per substitution round, and the
 // reset-not-reallocate lifecycle keeps the rounds allocation-light.
-func gjeRows(polys []anf.Poly, workers int, track bool) ([]anf.Poly, *gf2.Matrix) {
+func gjeRows(polys []anf.Poly, track bool) ([]anf.Poly, *gf2.Matrix) {
 	scratch := getLinScratch()
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	for _, p := range polys {
 		scratch.ids = tab.AppendTermIDs(scratch.ids, p)
 	}
-	return gjeRowsIDs(polys, scratch.ids, tab, workers, track, scratch)
+	return gjeRowsIDs(polys, scratch.ids, tab, track, scratch)
 }
 
 // gjeRowsIDs is the linearize→eliminate→extract kernel. ids holds the
@@ -256,17 +253,17 @@ func gjeRows(polys []anf.Poly, workers int, track bool) ([]anf.Poly, *gf2.Matrix
 // next polys[r].NumTerms() entries), with every ID already interned in
 // tab — so each column index is an integer array lookup and the hot path
 // does no string hashing at all. Untracked, the M4R kernel eliminates
-// with the given fan-out and ops is nil. Tracked, the plain elimination
-// also returns ops, whose row r writes reduced row r as a combination of
-// the input polynomials. The RREF is unique, so the rows are the same.
-func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, workers int, track bool, s *linScratch) ([]anf.Poly, *gf2.Matrix) {
+// and ops is nil. Tracked, the plain elimination also returns ops, whose
+// row r writes reduced row r as a combination of the input polynomials.
+// The RREF is unique, so the rows are the same.
+func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, track bool, s *linScratch) ([]anf.Poly, *gf2.Matrix) {
 	mat, order, monos := linearize(polys, ids, tab, s)
 	var rank int
 	var ops *gf2.Matrix
 	if track {
 		rank, ops = mat.RREFTracked()
 	} else {
-		rank = mat.RREFM4RWorkers(workers)
+		rank = mat.RREFM4R()
 	}
 	return extractRows(mat, rank, order, monos), ops
 }

@@ -1,9 +1,6 @@
 package gf2
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // RREF reduces the matrix in place to reduced row echelon form using plain
 // Gauss–Jordan elimination with partial (first-nonzero) pivoting, and
@@ -48,7 +45,7 @@ func (m *Matrix) RREF() int {
 //
 // RREF of a matrix is unique, so the reduced rows (and their order — pivot
 // rows sorted by leading column, zero rows last) are bit-identical to what
-// RREFM4RWorkers produces for the same input; only the run time differs.
+// RREFM4R produces for the same input; only the run time differs.
 // The provenance-tracking elimination paths use this to attribute every
 // reduced row to an exact GF(2) combination of input rows.
 func (m *Matrix) RREFTracked() (int, *Matrix) {
@@ -92,9 +89,38 @@ func (m *Matrix) Rank() int {
 	return m.Clone().RREF()
 }
 
-// m4rK picks the base table width for the M4R kernels: roughly log2 of the
-// matrix size, clamped to [1, 8] so tables stay small.
-func m4rK(rows, cols int) int {
+// fastCacheWords is the cache working set the elimination kernel blocks
+// for: 32768 words = 256 KiB. A round whose combination table fits it is
+// applied in one fused pass; a larger one is applied in column strips of
+// the table that fit it, and the table itself is kept within 16 times it.
+// These choices never change the eliminated matrix (every path computes
+// the same XORs), only the run time. It is a variable so tests can lower
+// it to route small matrices through the blocked path.
+var fastCacheWords = 32768
+
+// minStripWords keeps strips from degenerating below one cache line worth
+// of useful streaming per row visit.
+const minStripWords = 8
+
+// stripWordsFor returns the column-strip width for a 2^np-entry table:
+// the widest strip whose table slice still fits fastCacheWords, clamped
+// below by minStripWords.
+func stripWordsFor(np int) int {
+	w := fastCacheWords >> uint(np)
+	if w < minStripWords {
+		w = minStripWords
+	}
+	return w
+}
+
+// m4rK picks the kernel's table width: roughly log2 of the matrix size,
+// clamped to [1, 8] so tables stay small, then narrowed to account for the
+// row stride — a 2^k-entry table of stride-word rows must stay within 16
+// times fastCacheWords or the per-round build cost stops amortizing and
+// the blocked application thrashes. Wide-and-short matrices (large
+// stride) therefore step k down; square benchmark shapes keep the full
+// width.
+func m4rK(rows, cols, stride int) int {
 	n := rows
 	if cols < n {
 		n = cols
@@ -106,39 +132,16 @@ func m4rK(rows, cols int) int {
 	if k > 8 {
 		k = 8
 	}
-	return k
-}
-
-// m4rKElim is the elimination kernel's table width: the base m4rK choice,
-// then narrowed to account for the row stride — a 2^k-entry table of
-// stride-word rows must stay within the calibrated outer-cache budget
-// (see calibrate.go) or the per-round build cost stops amortizing and the
-// blocked application thrashes. Wide-and-short matrices (large stride)
-// therefore step k down; square benchmark shapes keep the full width.
-func m4rKElim(rows, cols, stride int) int {
-	k := m4rK(rows, cols)
-	budget := tableBudgetWords()
-	for k > 1 && (1<<uint(k))*stride > budget {
+	for k > 1 && (1<<uint(k))*stride > 16*fastCacheWords {
 		k--
 	}
 	return k
 }
 
-// RREFM4R reduces the matrix in place to reduced row echelon form using the
-// Method of the Four Russians and returns the rank. It is the sequential
-// form of RREFM4RWorkers.
-func (m *Matrix) RREFM4R() int { return m.RREFM4RWorkers(1) }
-
-// minWorkerWords is the minimum number of matrix words a round must touch
-// per worker before the kernel fans the table-application sweep out to
-// goroutines; below it the per-round synchronization outweighs the XOR
-// work.
-const minWorkerWords = 8192
-
-// RREFM4RWorkers reduces the matrix in place to reduced row echelon form
-// using the Method of the Four Russians and returns the rank. It processes
-// up to k pivot columns per round: the k pivot rows are mutually reduced,
-// a 2^k-entry table of all their GF(2) combinations is built Gray-code
+// RREFM4R reduces the matrix in place to reduced row echelon form using
+// the Method of the Four Russians and returns the rank. It processes up
+// to k pivot columns per round: the k pivot rows are mutually reduced, a
+// 2^k-entry table of all their GF(2) combinations is built Gray-code
 // style, and every other row is cleared in one table lookup plus one
 // word-parallel XOR — the elimination algorithm that gives M4RI its name
 // and its O(n³ / log n) behaviour.
@@ -154,41 +157,24 @@ const minWorkerWords = 8192
 //   - Skip-zero prefix: every table row is a combination of pivot rows,
 //     all of which lead at or after the round's first pivot column, so the
 //     build and the application both run over [startWord, stride) only.
-//   - Cache blocking: when the live table exceeds the calibrated fast-
-//     cache budget (calibrate.go), the application sweep runs in column
-//     strips — masks are extracted once per row into a workspace buffer,
-//     then each strip of the table is streamed over all rows while it is
-//     hot.
+//   - Cache blocking: when the live table exceeds fastCacheWords, the
+//     application sweep runs in column strips — masks are extracted once
+//     per row into a workspace buffer, then each strip of the table is
+//     streamed over all rows while it is hot.
 //
 // The workspace (table, leads, masks) is pooled, so steady-state rounds
-// allocate nothing. With workers > 1 the application sweep is split into
-// fixed disjoint row strips owned by persistent per-call goroutines that
-// are woken once per round; each row's final value is a fixed XOR of table
-// entries regardless of scheduling, so the result is bit-identical for
-// every worker count.
-func (m *Matrix) RREFM4RWorkers(workers int) int {
+// allocate nothing.
+func (m *Matrix) RREFM4R() int {
 	if m.rows == 0 || m.cols == 0 || m.stride == 0 {
 		return 0
 	}
-	k := m4rKElim(m.rows, m.cols, m.stride)
+	k := m4rK(m.rows, m.cols, m.stride)
 	ws := getM4RWorkspace(m.stride, k, m.rows)
 	defer putM4RWorkspace(ws)
 
 	for r := 0; r < m.rows; r++ {
 		ws.leads[r] = m.leadColFrom(r, 0)
 	}
-
-	// Cap the fan-out by the per-round work so small matrices stay on the
-	// fast sequential path.
-	if limit := m.rows * m.stride / minWorkerWords; workers > limit {
-		workers = limit
-	}
-	var crew *m4rCrew
-	if workers > 1 {
-		crew = m.startCrew(ws, workers)
-		defer crew.stop()
-	}
-
 	rank := 0
 	for rank < m.rows {
 		np := m.gatherPivots(ws, rank, k)
@@ -197,11 +183,7 @@ func (m *Matrix) RREFM4RWorkers(workers int) int {
 		}
 		startWord := int(ws.pcCol[0]) / wordBits
 		m.buildTable(ws, rank, np, startWord)
-		if crew != nil {
-			crew.dispatch(m4rRound{rank: rank, np: np, startWord: startWord})
-		} else {
-			m.applyRound(ws, rank, np, startWord, 0, m.rows)
-		}
+		m.applyRound(ws, rank, np, startWord)
 		rank += np
 	}
 	// Pivot gathering takes leads in whatever order the rounds produce
@@ -347,22 +329,22 @@ func (m *Matrix) buildTable(ws *m4rWorkspace, rank, np, startWord int) {
 	}
 }
 
-// applyRound clears the pivot columns from every non-pivot row in [lo, hi):
-// the row's bits at the np pivot columns index the combination table, whose
-// entry is XORed into the row's live suffix, and the row's tracked lead is
-// rescanned. When the live table fits the calibrated fast-cache budget the
-// sweep is a single fused pass; otherwise it is column-blocked — masks are
-// extracted into the workspace first, then each table strip is streamed
-// over all rows of the range while it is cache-resident.
+// applyRound clears the pivot columns from every non-pivot row: the row's
+// bits at the np pivot columns index the combination table, whose entry is
+// XORed into the row's live suffix, and the row's tracked lead is
+// rescanned. When the live table fits fastCacheWords the sweep is a single
+// fused pass; otherwise it is column-blocked — masks are extracted into
+// the workspace first, then each table strip is streamed over all rows
+// while it is cache-resident.
 //
 //bosphorus:hotpath M4R table-apply sweep
-func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
-	m.fillMasks(ws, rank, np, lo, hi)
+func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord int) {
+	m.fillMasks(ws, rank, np)
 	masks := ws.masks
 	tw := m.stride - startWord
-	if (1<<uint(np))*tw <= fusedTableWords() {
+	if (1<<uint(np))*tw <= fastCacheWords {
 		// Fused: table XOR and lead rescan in one pass per row.
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			mask := masks[r]
 			if mask == 0 {
 				continue
@@ -375,7 +357,7 @@ func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
 		}
 		return
 	}
-	// Blocked: stream the table strip-by-strip over all rows in range.
+	// Blocked: stream the table strip-by-strip over all rows.
 	strip := stripWordsFor(np)
 	for w0 := startWord; w0 < m.stride; w0 += strip {
 		w1 := w0 + strip
@@ -384,7 +366,7 @@ func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
 		}
 		toff := w0 - startWord
 		tend := w1 - startWord
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			mask := masks[r]
 			if mask == 0 {
 				continue
@@ -397,31 +379,27 @@ func (m *Matrix) applyRound(ws *m4rWorkspace, rank, np, startWord, lo, hi int) {
 	// the old lead were zero and stay zero (the table's support starts at
 	// the first pivot column, which is at or after every candidate's
 	// lead), so the rescan starts at the old lead's word.
-	r0 := lo
-	if r0 < rank+np {
-		r0 = rank + np
-	}
-	for r := r0; r < hi; r++ {
+	for r := rank + np; r < m.rows; r++ {
 		if masks[r] != 0 {
 			ws.leads[r] = m.leadColFrom(r, int(ws.leads[r])/wordBits)
 		}
 	}
 }
 
-// fillMasks extracts every row's table index (bit i = pivot column i) for
-// rows in [lo, hi) into ws.masks; the pivot block itself gets 0. The
-// common dense case — the round's pivot columns are consecutive — reads
-// the index with one or two word loads instead of np scattered probes.
+// fillMasks extracts every row's table index (bit i = pivot column i) into
+// ws.masks; the pivot block itself gets 0. The common dense case — the
+// round's pivot columns are consecutive — reads the index with one or two
+// word loads instead of np scattered probes.
 //
 //bosphorus:hotpath per-row table-index extraction
-func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np, lo, hi int) {
+func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np int) {
 	masks := ws.masks
 	if ws.pcCol[np-1]-ws.pcCol[0] == int32(np-1) {
 		c0 := int(ws.pcCol[0])
 		w0, off := c0/wordBits, uint(c0)%wordBits
 		low := uint64(1)<<uint(np) - 1
 		spill := off+uint(np) > wordBits && w0+1 < m.stride
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			base := r * m.stride
 			v := m.data[base+w0] >> off
 			if spill {
@@ -430,7 +408,7 @@ func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np, lo, hi int) {
 			masks[r] = uint16(v & low)
 		}
 	} else {
-		for r := lo; r < hi; r++ {
+		for r := 0; r < m.rows; r++ {
 			base := r * m.stride
 			mask := uint16(0)
 			for i := 0; i < np; i++ {
@@ -440,74 +418,7 @@ func (m *Matrix) fillMasks(ws *m4rWorkspace, rank, np, lo, hi int) {
 		}
 	}
 	for r := rank; r < rank+np; r++ {
-		if r >= lo && r < hi {
-			masks[r] = 0
-		}
-	}
-}
-
-// m4rRound is one round's application job, broadcast to the crew.
-type m4rRound struct {
-	rank, np, startWord int
-}
-
-// m4rCrew is the persistent fan-out of one RREFM4RWorkers call: workers-1
-// helper goroutines, each owning a fixed disjoint strip of rows, woken
-// once per round through a buffered channel. Row strips touch disjoint
-// matrix, mask, and lead ranges, so rounds run lock-free; the per-round
-// WaitGroup is the only synchronization.
-type m4rCrew struct {
-	m      *Matrix
-	ws     *m4rWorkspace
-	starts []chan m4rRound
-	bounds [][2]int // row strip per member; entry 0 is the coordinator's
-	wg     sync.WaitGroup
-}
-
-// startCrew launches the helper goroutines. Strips are contiguous,
-// near-equal row ranges; the coordinator keeps the first strip so the
-// calling goroutine contributes instead of idling at the barrier.
-func (m *Matrix) startCrew(ws *m4rWorkspace, workers int) *m4rCrew {
-	crew := &m4rCrew{m: m, ws: ws}
-	chunk := (m.rows + workers - 1) / workers
-	for lo := 0; lo < m.rows; lo += chunk {
-		hi := lo + chunk
-		if hi > m.rows {
-			hi = m.rows
-		}
-		crew.bounds = append(crew.bounds, [2]int{lo, hi})
-	}
-	for i := 1; i < len(crew.bounds); i++ {
-		ch := make(chan m4rRound, 1)
-		crew.starts = append(crew.starts, ch)
-		b := crew.bounds[i]
-		go func() {
-			for rd := range ch {
-				m.applyRound(ws, rd.rank, rd.np, rd.startWord, b[0], b[1])
-				crew.wg.Done()
-			}
-		}()
-	}
-	return crew
-}
-
-// dispatch runs one round across the crew and returns when every strip is
-// done. The coordinator works its own strip between the broadcast and the
-// barrier.
-func (c *m4rCrew) dispatch(rd m4rRound) {
-	c.wg.Add(len(c.starts))
-	for _, ch := range c.starts {
-		ch <- rd
-	}
-	b := c.bounds[0]
-	c.m.applyRound(c.ws, rd.rank, rd.np, rd.startWord, b[0], b[1])
-	c.wg.Wait()
-}
-
-// stop releases the helper goroutines.
-func (c *m4rCrew) stop() {
-	for _, ch := range c.starts {
-		close(ch)
+		masks[r] = 0
 	}
 }
 

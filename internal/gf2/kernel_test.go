@@ -2,7 +2,6 @@ package gf2
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -38,9 +37,9 @@ func randomShapedMatrix(rng *rand.Rand) *Matrix {
 	return m
 }
 
-// All elimination kernels — plain Gauss–Jordan, sequential M4R, and the
-// parallel M4R — must return the identical rank and identical canonical
-// rows (RREF is unique, so this is full bit equality).
+// Both elimination kernels — plain Gauss–Jordan and M4R — must return
+// the identical rank and identical canonical rows (RREF is unique, so this
+// is full bit equality).
 func TestKernelsAgreeFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 120; trial++ {
@@ -54,33 +53,22 @@ func TestKernelsAgreeFuzz(t *testing.T) {
 		if !plain.Equal(m4r) {
 			t.Fatalf("trial %d (%dx%d): RREF differs plain vs m4r", trial, m.Rows(), m.Cols())
 		}
-		for _, workers := range []int{2, 3, 8} {
-			par := m.Clone()
-			if rw := par.RREFM4RWorkers(workers); rw != rp {
-				t.Fatalf("trial %d workers=%d: rank %d, want %d", trial, workers, rw, rp)
-			}
-			if !par.Equal(plain) {
-				t.Fatalf("trial %d workers=%d: parallel RREF differs", trial, workers)
-			}
-		}
 	}
 }
 
-// The parallel path must also be exercised above the minWorkerWords gate,
-// where the fan-out actually spawns goroutines.
-func TestParallelKernelLargeMatrix(t *testing.T) {
+// A 1024² random matrix — the benchtab kernel shape, eliminated with the
+// full 2^8-entry tables over hundreds of rounds — must match the plain
+// kernel bit for bit.
+func TestM4RLargeMatrixMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m := randomMatrix(rng, 1024, 1024)
-	want := m.Clone()
-	wr := want.RREFM4R()
-	for _, workers := range []int{2, 4} {
-		got := m.Clone()
-		if gr := got.RREFM4RWorkers(workers); gr != wr {
-			t.Fatalf("workers=%d: rank %d, want %d", workers, gr, wr)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d: result differs from sequential", workers)
-		}
+	want, got := m.Clone(), m.Clone()
+	wr := want.RREF()
+	if gr := got.RREFM4R(); gr != wr {
+		t.Fatalf("rank %d, want %d", gr, wr)
+	}
+	if !got.Equal(want) {
+		t.Fatal("M4R result differs from plain RREF")
 	}
 }
 
@@ -126,7 +114,7 @@ func TestSolveTailWordRegression(t *testing.T) {
 	}
 }
 
-func benchmarkRREFWorkers(b *testing.B, n, workers int) {
+func benchmarkRREFM4R(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(42))
 	m := randomMatrix(rng, n, n)
 	b.ReportAllocs()
@@ -136,16 +124,9 @@ func benchmarkRREFWorkers(b *testing.B, n, workers int) {
 		b.StopTimer()
 		c := m.Clone()
 		b.StartTimer()
-		c.RREFM4RWorkers(workers)
+		c.RREFM4R()
 	}
 }
 
-func BenchmarkRREFM4RParallel512x1(b *testing.B)  { benchmarkRREFWorkers(b, 512, 1) }
-func BenchmarkRREFM4RParallel1024x1(b *testing.B) { benchmarkRREFWorkers(b, 1024, 1) }
-func BenchmarkRREFM4RParallel1024xN(b *testing.B) {
-	benchmarkRREFWorkers(b, 1024, runtime.GOMAXPROCS(0))
-}
-func BenchmarkRREFM4RParallel2048x1(b *testing.B) { benchmarkRREFWorkers(b, 2048, 1) }
-func BenchmarkRREFM4RParallel2048xN(b *testing.B) {
-	benchmarkRREFWorkers(b, 2048, runtime.GOMAXPROCS(0))
-}
+func BenchmarkRREFM4R1024(b *testing.B) { benchmarkRREFM4R(b, 1024) }
+func BenchmarkRREFM4R2048(b *testing.B) { benchmarkRREFM4R(b, 2048) }

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// forceBlockedApply shrinks the calibrated fast-cache budget so applyRound
-// takes the column-blocked strip path even on small test matrices, and
-// returns a restore func. The calibration is forced first so the Once does
-// not overwrite the override later.
+// forceBlockedApply shrinks the fast-cache budget so applyRound takes the
+// column-blocked strip path even on small test matrices, and returns a
+// restore func.
 func forceBlockedApply() func() {
-	calibOnce.Do(calibrate)
 	old := fastCacheWords
 	fastCacheWords = minStripWords
 	return func() { fastCacheWords = old }
@@ -18,8 +16,8 @@ func forceBlockedApply() func() {
 
 // The column-blocked strip path must produce the same unique RREF as the
 // scalar kernel on every shape, including tail-word widths and zero rows.
-// The default calibration keeps small matrices on the fused path, so the
-// budget is pinned down to route every round through the strips.
+// The default budget keeps small matrices on the fused path, so it is
+// pinned down to route every round through the strips.
 func TestBlockedApplyMatchesScalar(t *testing.T) {
 	defer forceBlockedApply()()
 	rng := rand.New(rand.NewSource(97))
@@ -35,15 +33,10 @@ func TestBlockedApplyMatchesScalar(t *testing.T) {
 		}
 		plain, blocked := m.Clone(), m.Clone()
 		rp := plain.RREF()
-		for _, workers := range []int{1, 2, 5} {
-			got := blocked.Clone()
-			if rg := got.RREFM4RWorkers(workers); rg != rp {
-				t.Fatalf("trial %d workers=%d (%dx%d): rank %d, want %d",
-					trial, workers, m.Rows(), m.Cols(), rg, rp)
-			} else if !got.Equal(plain) {
-				t.Fatalf("trial %d workers=%d (%dx%d): blocked RREF differs from scalar",
-					trial, workers, m.Rows(), m.Cols())
-			}
+		if rb := blocked.RREFM4R(); rb != rp {
+			t.Fatalf("trial %d (%dx%d): rank %d, want %d", trial, m.Rows(), m.Cols(), rb, rp)
+		} else if !blocked.Equal(plain) {
+			t.Fatalf("trial %d (%dx%d): blocked RREF differs from scalar", trial, m.Rows(), m.Cols())
 		}
 	}
 }
@@ -64,10 +57,10 @@ func TestKernelDegenerateShapes(t *testing.T) {
 			}
 		}
 		plain, m4r := m.Clone(), m.Clone()
-		if rp, rm := plain.RREF(), m4r.RREFM4RWorkers(4); rp != rm || !plain.Equal(m4r) {
+		if rp, rm := plain.RREF(), m4r.RREFM4R(); rp != rm || !plain.Equal(m4r) {
 			t.Fatalf("%dx%d: scalar and M4R kernels disagree (rank %d vs %d)", sh.rows, sh.cols, rp, rm)
 		}
-		if zero := NewMatrix(sh.rows, sh.cols); zero.RREFM4RWorkers(2) != 0 {
+		if zero := NewMatrix(sh.rows, sh.cols); zero.RREFM4R() != 0 {
 			t.Fatalf("%dx%d: zero matrix must have rank 0", sh.rows, sh.cols)
 		}
 	}
@@ -82,7 +75,7 @@ func TestTrackedMirrorsOptimizedKernel(t *testing.T) {
 		m := randomShapedMatrix(rng)
 		tracked, fast := m.Clone(), m.Clone()
 		rt, ops := tracked.RREFTracked()
-		rf := fast.RREFM4RWorkers(1 + rng.Intn(4))
+		rf := fast.RREFM4R()
 		if rt != rf {
 			t.Fatalf("trial %d (%dx%d): rank tracked=%d fast=%d", trial, m.Rows(), m.Cols(), rt, rf)
 		}
@@ -121,7 +114,7 @@ func TestKernelIgnoresTailGarbage(t *testing.T) {
 			row := dirty.Row(r)
 			row[len(row)-1] |= ^mask // smear every invalid bit
 		}
-		rd := dirty.RREFM4RWorkers(2)
+		rd := dirty.RREFM4R()
 		if rd != rc {
 			t.Fatalf("cols=%d: rank with tail garbage %d, want %d", cols, rd, rc)
 		}

@@ -111,19 +111,21 @@ func (g *gauss) initialize() lbool {
 	return lUndef
 }
 
-// eliminate performs GJE over the raw rows: each variable is a column, and
-// the RHS is an extra column. It returns the reduced rows. Very large
-// systems (dense work beyond ~2^26 word operations) skip the elimination —
-// the rows still propagate, they are just not inter-reduced first, the
-// same size guard real CMS applies to its Gaussian component.
+// eliminate runs Gauss–Jordan elimination over the raw rows with the gf2
+// M4R kernel: column c holds the c-th variable in order of first
+// appearance, and the RHS is the last column. It returns the nonzero
+// reduced rows by leading column, each listing its variables in column
+// order, or the lone row 0 = 1 if the rows contradict each other. Very
+// large systems (dense work beyond ~2^26 word operations) skip the
+// elimination — the rows still propagate, they are just not inter-reduced
+// first, the same size guard real CMS applies to its Gaussian component.
 func (g *gauss) eliminate() []xorRow {
-	// Collect the variable set.
-	varSet := map[cnf.Var]int{}
+	col := map[cnf.Var]int{}
 	var vars []cnf.Var
 	for _, r := range g.raw {
 		for _, v := range r.vars {
-			if _, ok := varSet[v]; !ok {
-				varSet[v] = len(vars)
+			if _, ok := col[v]; !ok {
+				col[v] = len(vars)
 				vars = append(vars, v)
 			}
 		}
@@ -132,75 +134,29 @@ func (g *gauss) eliminate() []xorRow {
 	if est := uint64(len(g.raw)) * uint64(len(g.raw)) * uint64(ncols/64+1); est > 1<<26 {
 		return g.raw
 	}
-	// Represent each row as a set of column indices plus rhs, and run
-	// straightforward GJE keyed on the lowest set column.
-	type packed struct {
-		bits []uint64
-		rhs  bool
-	}
-	words := gf2.Words(ncols)
-	mk := func(r xorRow) packed {
-		p := packed{bits: make([]uint64, words), rhs: r.rhs}
+	m := gf2.NewMatrix(len(g.raw), ncols+1)
+	for i, r := range g.raw {
+		row := m.Row(i)
 		for _, v := range r.vars {
-			c := varSet[v]
-			gf2.XorBit(p.bits, c)
+			gf2.XorBit(row, col[v])
 		}
-		return p
-	}
-	lead := func(p packed) int {
-		return gf2.FirstSetBit(p.bits)
-	}
-	pivots := make(map[int]*packed) // leading column -> row
-	var order []int
-	for _, r := range g.raw {
-		p := mk(r)
-		for {
-			l := lead(p)
-			if l < 0 {
-				break
-			}
-			piv, ok := pivots[l]
-			if !ok {
-				cp := p
-				pivots[l] = &cp
-				order = append(order, l)
-				break
-			}
-			for w := range p.bits {
-				p.bits[w] ^= piv.bits[w]
-			}
-			p.rhs = p.rhs != piv.rhs
-		}
-		if lead(p) < 0 && p.rhs {
-			// 0 = 1 row.
-			return []xorRow{{rhs: true}}
+		if r.rhs {
+			gf2.XorBit(row, ncols)
 		}
 	}
-	// Back-substitute to reduced form.
-	sort.Ints(order)
-	for i := len(order) - 1; i >= 0; i-- {
-		l := order[i]
-		piv := pivots[l]
-		for _, l2 := range order[:i] {
-			p2 := pivots[l2]
-			if gf2.TestBit(p2.bits, l) {
-				for w := range p2.bits {
-					p2.bits[w] ^= piv.bits[w]
-				}
-				p2.rhs = p2.rhs != piv.rhs
-			}
-		}
+	rank := m.RREFM4R()
+	if rank > 0 && m.LeadingCol(rank-1) == ncols {
+		return []xorRow{{rhs: true}}
 	}
-	out := make([]xorRow, 0, len(order))
-	for _, l := range order {
-		p := pivots[l]
-		var vs []cnf.Var
-		for c := 0; c < ncols; c++ {
-			if gf2.TestBit(p.bits, c) {
-				vs = append(vs, vars[c])
+	out := make([]xorRow, rank)
+	for i := range out {
+		gf2.ForEachSetBit(m.Row(i), func(c int) {
+			if c < ncols {
+				out[i].vars = append(out[i].vars, vars[c])
+			} else {
+				out[i].rhs = true
 			}
-		}
-		out = append(out, xorRow{vars: vs, rhs: p.rhs})
+		})
 	}
 	return out
 }

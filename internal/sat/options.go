@@ -72,31 +72,23 @@ type Options struct {
 	// EnableGauss turns on the XOR Gauss–Jordan propagator (CMS profile).
 	EnableGauss bool
 
-	// MinGaussRows skips Gaussian elimination when there are fewer XOR rows
-	// than this.
-	MinGaussRows int
-
 	// NativeXor routes AddXor constraints into the solver's packed parity
 	// clause kind — one arena record per constraint, watched with the same
 	// {ref, blocker} two-watch scheme as ordinary clauses — instead of the
 	// 2^(k-1) clausal cut (no Gauss) or the Gauss side-car (CMS profile).
-	// Rows longer than NativeXorMaxLen still go to Gauss when it is
+	// Rows longer than DefaultNativeXorMaxLen still go to Gauss when it is
 	// enabled: long rows benefit from inter-reduction, short rows are
 	// cheaper in-watch. DefaultOptions turns this on for every profile;
 	// clear it (bosphorus -native-xor=false) for the differential CNF-cut
 	// baseline.
 	NativeXor bool
-
-	// NativeXorMaxLen is the native-parity router's length threshold: with
-	// Gauss enabled, rows with more variables than this go to the
-	// elimination side-car. 0 means DefaultNativeXorMaxLen.
-	NativeXorMaxLen int
 }
 
-// DefaultNativeXorMaxLen is the default native-parity length threshold.
-// It matches RecoverXors' default recovery width: every XOR the solver
-// recovers from clausal form stays in-watch, and only genuinely long
-// rows (hand-added or conversion-emitted) reach the Gauss side-car.
+// DefaultNativeXorMaxLen is the native-parity length threshold: with
+// Gauss enabled, rows with more variables than this go to the elimination
+// side-car. It matches RecoverXors' default recovery width: every XOR the
+// solver recovers from clausal form stays in-watch, and only genuinely
+// long rows (hand-added or conversion-emitted) reach the Gauss side-car.
 const DefaultNativeXorMaxLen = 6
 
 // DefaultOptions returns the options for a profile, mirroring the paper's
@@ -112,7 +104,6 @@ func DefaultOptions(p Profile) Options {
 		RandomSeed:      91648253,
 		RandomFreq:      0,
 		NativeXor:       true,
-		NativeXorMaxLen: DefaultNativeXorMaxLen,
 	}
 	switch p {
 	case ProfileLingeling:
@@ -120,7 +111,6 @@ func DefaultOptions(p Profile) Options {
 		o.RestartBase = 50
 	case ProfileCMS:
 		o.EnableGauss = true
-		o.MinGaussRows = 2
 	}
 	return o
 }

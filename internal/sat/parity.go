@@ -36,9 +36,10 @@ import (
 
 // addXorNative routes an XOR constraint into the native parity kind:
 // pair-cancel duplicates, handle the degenerate 0/1-unassigned cases at
-// level 0, hand rows longer than NativeXorMaxLen to the Gauss side-car
-// when it is enabled (long rows profit from inter-reduction, short rows
-// are cheaper in-watch), and otherwise store a watched parity clause.
+// level 0, hand rows longer than DefaultNativeXorMaxLen to the Gauss
+// side-car when it is enabled (long rows profit from inter-reduction,
+// short rows are cheaper in-watch), and otherwise store a watched parity
+// clause.
 func (s *Solver) addXorNative(rhs bool, vars []cnf.Var) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddXor above decision level 0")
@@ -65,11 +66,7 @@ func (s *Solver) addXorNative(rhs bool, vars []cnf.Var) bool {
 		}
 		return true
 	}
-	maxLen := s.opts.NativeXorMaxLen
-	if maxLen <= 0 {
-		maxLen = DefaultNativeXorMaxLen
-	}
-	if s.gauss != nil && len(vs) > maxLen {
+	if s.gauss != nil && len(vs) > DefaultNativeXorMaxLen {
 		return s.gauss.addRow(vs, rhs)
 	}
 	// Encode the RHS into the literal signs: rhs=1 is all-positive, rhs=0

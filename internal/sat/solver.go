@@ -269,7 +269,8 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 
 // AddXor adds an XOR constraint. With Options.NativeXor (the default) it
 // becomes a native parity clause in the arena — rows longer than
-// NativeXorMaxLen still go to the Gauss side-car when that is enabled.
+// DefaultNativeXorMaxLen still go to the Gauss side-car when that is
+// enabled.
 // With NativeXor off the pre-PR-10 routing applies: the Gauss component
 // (CMS profile), else the 2^(k-1) clausal cut.
 func (s *Solver) AddXor(rhs bool, vars ...cnf.Var) bool {

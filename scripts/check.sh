@@ -57,11 +57,14 @@ if "$workdir/proofcheck" -cnf "$workdir/p.drat.cnf" "$workdir/bad.drat" >/dev/nu
 	exit 1
 fi
 
-echo "==> parity proof round-trip smoke (native parity clauses, x-justified DRAT, reject corrupted)"
+echo "==> parity proof round-trip smoke (native parity clauses, Gauss side-car, x-justified DRAT, reject corrupted)"
 # unsat_parity.anf converts to native XOR clauses; the refutation flows
 # through the solver's packed parity kind and the proof's derived clauses
 # carry GF(2)-rowspan ("x") justifications. The -native-xor=false run is
-# the differential baseline: same verdict through the CNF-cut path.
+# the differential baseline: same verdict through the CNF-cut path. With
+# -l 12 the instance's 9- and 10-variable rows stay whole and go to the
+# Gauss side-car, whose elimination refutes them before any conflict;
+# that proof must check too.
 "$workdir/bosphorus" -anf examples/instances/unsat_parity.anf -solve \
 	-no-xl -no-elimlin -proof "$workdir/parity.drat" | grep -q "s UNSATISFIABLE"
 "$workdir/proofcheck" -cnf "$workdir/parity.drat.cnf" "$workdir/parity.drat" | grep -q "s VERIFIED"
@@ -70,6 +73,16 @@ echo "==> parity proof round-trip smoke (native parity clauses, x-justified DRAT
 { echo "999999 0"; cat "$workdir/parity.drat"; } > "$workdir/parity-bad.drat"
 if "$workdir/proofcheck" -cnf "$workdir/parity.drat.cnf" "$workdir/parity-bad.drat" >/dev/null 2>&1; then
 	echo "proofcheck accepted a corrupted parity proof" >&2
+	exit 1
+fi
+"$workdir/bosphorus" -anf examples/instances/unsat_parity.anf -solve \
+	-no-xl -no-elimlin -l 12 -v -proof "$workdir/gauss.drat" > "$workdir/gauss.log" 2>&1
+grep -q "s UNSATISFIABLE" "$workdir/gauss.log"
+grep -q "SAT step (UNSAT, 0 conflicts)" "$workdir/gauss.log"
+"$workdir/proofcheck" -cnf "$workdir/gauss.drat.cnf" "$workdir/gauss.drat" | grep -q "s VERIFIED"
+{ echo "999999 0"; cat "$workdir/gauss.drat"; } > "$workdir/gauss-bad.drat"
+if "$workdir/proofcheck" -cnf "$workdir/gauss.drat.cnf" "$workdir/gauss-bad.drat" >/dev/null 2>&1; then
+	echo "proofcheck accepted a corrupted Gauss proof" >&2
 	exit 1
 fi
 
