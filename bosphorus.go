@@ -8,7 +8,7 @@
 // The facade wraps the implementation packages:
 //
 //	internal/anf       Boolean polynomials (the PolyBoRi role)
-//	internal/gf2       dense GF(2) linear algebra (the M4RI role)
+//	internal/gf2       GF(2) linear algebra, sparse and dense (the M4RI role)
 //	internal/sat       CDCL solver with XOR/GJE support (the CryptoMiniSat role)
 //	internal/minimize  Quine–McCluskey logic minimization (the ESPRESSO role)
 //	internal/conv      ANF ↔ CNF conversion

@@ -7,6 +7,8 @@ import (
 	"repro/internal/anf"
 	"repro/internal/ciphers/simon"
 	"repro/internal/ciphers/sr"
+	"repro/internal/conv"
+	"repro/internal/satgen"
 )
 
 // benchSRSystem returns a mid-size SR instance system: large enough that
@@ -48,6 +50,22 @@ func BenchmarkXLSimon(b *testing.B) {
 	}
 }
 
+// BenchmarkXLCNF runs XL over CNF inputs through CNFToANF — pigeonhole
+// PHP(7,6) and the mutilated 8×8 chessboard — whose linearizations are
+// thousands of rows wide and nearly empty, before and after reduction.
+func BenchmarkXLCNF(b *testing.B) {
+	for _, inst := range []*satgen.Instance{satgen.Pigeonhole(7, 6), satgen.MutilatedChessboard(8)} {
+		sys := conv.CNFToANF(inst.Formula, conv.DefaultOptions())
+		b.Run(inst.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rng := rand.New(rand.NewSource(1))
+				_ = RunXL(sys, XLConfig{M: 20, DeltaM: 4, Deg: 1, Rand: rng})
+			}
+		})
+	}
+}
+
 // BenchmarkElimLin measures the full ElimLin rounds loop (GJE → gather
 // linear → substitute) on the SR instance.
 func BenchmarkElimLin(b *testing.B) {
@@ -61,7 +79,8 @@ func BenchmarkElimLin(b *testing.B) {
 }
 
 // BenchmarkGJERows measures just the linearize+reduce kernel: building the
-// monomial→column index, filling the matrix, and reading reduced rows back.
+// monomial→column index, the sparse rows, their reduction, and reading
+// reduced rows back.
 func BenchmarkGJERows(b *testing.B) {
 	sys := benchSRSystem()
 	polys := sys.Polys()

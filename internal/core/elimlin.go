@@ -37,10 +37,10 @@ func RunElimLin(sys *anf.System, cfg ElimLinConfig) []anf.Poly {
 
 // runElimLin is the ElimLin pass. A non-nil w also gets a witness per
 // learnt equation. Witnesses thread through the rounds: a reduced row
-// combines the working polynomials' witnesses per the elimination's ops
-// matrix, and substituting v := l ⊕ v into p rewrites p to p ⊕ A·l (A the
-// cofactor of v in p), so the working witness gains A-scaled copies of
-// l's witness.
+// combines the witnesses of the working polynomials the tracked
+// elimination lists for it, and substituting v := l ⊕ v into p rewrites
+// p to p ⊕ A·l (A the cofactor of v in p), so the working witness gains
+// A-scaled copies of l's witness.
 func runElimLin(sys *anf.System, cfg ElimLinConfig, w *witnessLog) []anf.Poly {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 64
@@ -64,17 +64,15 @@ func runElimLin(sys *anf.System, cfg ElimLinConfig, w *witnessLog) []anf.Poly {
 			return learnt
 		}
 		// Step (1): GJE on the linearization.
-		reduced, ops := gjeRows(work, track)
+		reduced, combos := gjeRows(work, track)
 		// Step (2): gather the linear equations.
 		var linear, rest []anf.Poly
 		var linWits, restWits [][]SlotTerm
 		for r, p := range reduced {
 			var wit []SlotTerm
 			if track {
-				for j := range work {
-					if ops.Get(r, j) {
-						wit = append(wit, wits[j]...)
-					}
+				for _, j := range combos[r] {
+					wit = append(wit, wits[j]...)
 				}
 				wit = canonSlotTerms(wit)
 			}
@@ -125,7 +123,7 @@ func runElimLin(sys *anf.System, cfg ElimLinConfig, w *witnessLog) []anf.Poly {
 // through every substitution, so choosing the variable to eliminate reads
 // list lengths, and a substitution visits only the equations that contain
 // its variable. The rewrites happen in place: rest holds ElimLin's own
-// polynomials, fresh from extractRows, which nothing else references.
+// polynomials, fresh from gjeRows, which nothing else references.
 type occIndex struct {
 	occ    [][]int32 // occ[u]: the equations containing u, in no set order
 	mark   []uint32  // mark[u] == stamp: u seen by the current equation scan

@@ -112,15 +112,13 @@ func sweepElimLinProv(sys *anf.System, cfg ElimLinConfig) ([]anf.Poly, *witnessL
 	}
 	var learnt []anf.Poly
 	for round := 0; round < cfg.MaxRounds; round++ {
-		reduced, ops := gjeRows(work, true)
+		reduced, combos := gjeRows(work, true)
 		var linear, rest []anf.Poly
 		var linWits, restWits [][]SlotTerm
 		for r, p := range reduced {
 			var w []SlotTerm
-			for j := range work {
-				if ops.Get(r, j) {
-					w = append(w, wits[j]...)
-				}
+			for _, j := range combos[r] {
+				w = append(w, wits[j]...)
 			}
 			w = canonSlotTerms(w)
 			switch {

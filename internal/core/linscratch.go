@@ -6,19 +6,22 @@ import (
 	"repro/internal/anf"
 )
 
-// linScratch pools the interning and column-ordering state behind a
-// linearize→eliminate→extract pass. XL and ElimLin run one such pass per
-// iteration over systems of similar size, so the monomial table (its map
-// buckets and canonical slice), the flat term-ID buffer, and the column
-// permutation are reset and reused instead of reallocated — the table
-// rebuild was a visible slice of the xl_sr profile. Resetting is safe for
-// escaping results: extracted polynomials copy the canonical Monomial
-// values, whose vars backing is never recycled by Reset.
+// linScratch pools the interning, column-ordering and row state behind a
+// linearize→eliminate pass. XL and ElimLin run one such pass per iteration
+// over systems of similar size, so the monomial table (its map buckets and
+// canonical slice), the flat term-ID buffer, the column permutation and
+// the sparse rows handed to the elimination are reset and reused instead
+// of reallocated — the table rebuild was a visible slice of the xl_sr
+// profile. Resetting is safe for escaping results: polynomials built from
+// reduced rows copy the canonical Monomial values, whose vars backing is
+// never recycled by Reset.
 type linScratch struct {
 	tab   *anf.MonoTable
-	ids   []uint32 // flat term IDs, concatenated per row
-	order []uint32 // column → monomial ID, sorted descending
-	col   []int    // monomial ID → column
+	ids   []uint32  // flat term IDs, concatenated per row
+	order []uint32  // column → monomial ID, sorted descending
+	col   []int32   // monomial ID → column
+	ents  []int32   // flat columns, concatenated per row
+	rows  [][]int32 // row r's ascending columns, a window of ents
 }
 
 var linScratchPool = sync.Pool{
@@ -26,7 +29,7 @@ var linScratchPool = sync.Pool{
 }
 
 // getLinScratch returns a scratch with an empty table and a cleared ids
-// buffer; order/col are sized by linearize.
+// buffer; linearize resizes the other buffers.
 func getLinScratch() *linScratch {
 	s := linScratchPool.Get().(*linScratch)
 	s.tab.Reset()
@@ -36,14 +39,11 @@ func getLinScratch() *linScratch {
 
 func putLinScratch(s *linScratch) { linScratchPool.Put(s) }
 
-// orderBufs returns the order and col buffers sized for n monomials,
-// growing the backing at most geometrically across uses.
-func (s *linScratch) orderBufs(n int) ([]uint32, []int) {
-	if cap(s.order) < n {
-		s.order = make([]uint32, n)
-		s.col = make([]int, n)
+// resize returns buf with length n, reusing its backing when it is large
+// enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	s.order = s.order[:n]
-	s.col = s.col[:n]
-	return s.order, s.col
+	return buf[:n]
 }

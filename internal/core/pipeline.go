@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/anf"
@@ -21,6 +23,7 @@ type techJob struct {
 	ran   bool
 	facts []anf.Poly
 	log   witnessLog // how facts were derived, filled in with provenance on
+	fault string     // a panic the learner raised on its own goroutine, with its stack
 }
 
 // deriveSeed mixes the run seed, iteration and job index into a decorrelated
@@ -113,11 +116,24 @@ func runSnapshotPhase(ctx context.Context, prop *Propagator, cfg Config, res *Re
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
-				defer func() { <-sem; wg.Done() }()
+				defer func() {
+					if p := recover(); p != nil {
+						j.fault = fmt.Sprintf("%s learner panicked: %v\n%s", j.name, p, debug.Stack())
+					}
+					<-sem
+					wg.Done()
+				}()
 				run(j)
 			}()
 		}
 		wg.Wait()
+		// A panic cannot cross goroutines: re-raise the first learner's
+		// on the caller's, where Workers ≤ 1 would have raised it.
+		for _, j := range jobs {
+			if j.fault != "" {
+				panic(j.fault)
+			}
+		}
 	} else {
 		for _, j := range jobs {
 			run(j)

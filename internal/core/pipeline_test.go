@@ -65,9 +65,10 @@ func ledgerFingerprint(r *Result) string {
 // TestProcessWorkersBitIdentical is the loop's determinism contract: the
 // entire Result — verdict, solution, learnt-fact counts, final system,
 // variable state and, when tracked, the fact ledger — must be
-// bit-identical for every Workers value, 0 included. Both kernels are
-// covered: untracked runs eliminate with M4R, tracked ones with the
-// witness-carrying RREF, and in both the learners run Workers at once.
+// bit-identical for every Workers value, 0 included. Both modes of the
+// sparse elimination are covered: untracked runs, and tracked ones that
+// list each reduced row's inputs; in both the learners run Workers at
+// once.
 func TestProcessWorkersBitIdentical(t *testing.T) {
 	instances := []*anf.System{
 		simon.GenerateInstance(simon.Params{NPlaintexts: 2, Rounds: 5},

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/anf"
@@ -48,7 +49,7 @@ func RunXL(sys *anf.System, cfg XLConfig) []anf.Poly {
 
 // runXL is the XL pass. A non-nil w also gets a witness per learnt fact: a
 // GF(2) combination of multiplier·slot-polynomial products, read off the
-// ops matrix of the tracked elimination.
+// input rows the tracked elimination lists for the fact's row.
 func runXL(sys *anf.System, cfg XLConfig, w *witnessLog) []anf.Poly {
 	if cfg.Deg < 0 {
 		cfg.Deg = 1
@@ -112,19 +113,18 @@ expansion:
 	if ctxCanceled(cfg.Context) {
 		return nil
 	}
-	rows, ops := gjeRowsIDs(expanded, scratch.ids, tab, track, scratch)
+	red := gjeRowsIDs(expanded, scratch.ids, tab, track, scratch)
 	var facts []anf.Poly
-	for r, p := range rows {
-		if !(p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne()) {
+	for r := range red.rows {
+		if !red.isFact(r) {
 			continue
 		}
-		facts = append(facts, p)
+		facts = append(facts, red.poly(r))
 		if track {
 			var wit []SlotTerm
-			for j, src := range srcs {
-				if ops.Get(r, j) {
-					wit = append(wit, SlotTerm{Mult: anf.FromMonomials(src.mult), Slot: src.slot})
-				}
+			for _, j := range red.combos[r] {
+				src := srcs[j]
+				wit = append(wit, SlotTerm{Mult: anf.FromMonomials(src.mult), Slot: src.slot})
 			}
 			w.record(canonSlotTerms(wit), "gje row")
 		}
@@ -232,84 +232,99 @@ func buildMultipliers(vars []anf.Var, deg int) []anf.Monomial {
 	return out
 }
 
-// gjeRows linearizes the polynomials (one column per distinct monomial,
-// constant column last), runs Gauss–Jordan elimination, and returns every
-// nonzero reduced row as a polynomial, plus the ops matrix when track is
-// set (see gjeRowsIDs). The interning table and ID buffers come from the
-// pooled scratch: ElimLin calls this once per substitution round, and the
-// reset-not-reallocate lifecycle keeps the rounds allocation-light.
-func gjeRows(polys []anf.Poly, track bool) ([]anf.Poly, *gf2.Matrix) {
+// gjeRows linearizes the polynomials, reduces them, and returns every
+// nonzero reduced row as a polynomial, plus, when track is set, the input
+// rows each one combines (see gjeRowsIDs). The interning table and ID
+// buffers come from the pooled scratch: ElimLin calls this once per
+// substitution round, and the reset-not-reallocate lifecycle keeps the
+// rounds allocation-light.
+func gjeRows(polys []anf.Poly, track bool) ([]anf.Poly, [][]int32) {
 	scratch := getLinScratch()
 	defer putLinScratch(scratch)
 	tab := scratch.tab
 	for _, p := range polys {
 		scratch.ids = tab.AppendTermIDs(scratch.ids, p)
 	}
-	return gjeRowsIDs(polys, scratch.ids, tab, track, scratch)
-}
-
-// gjeRowsIDs is the linearize→eliminate→extract kernel. ids holds the
-// term IDs of every polynomial, concatenated in row order (row r owns the
-// next polys[r].NumTerms() entries), with every ID already interned in
-// tab — so each column index is an integer array lookup and the hot path
-// does no string hashing at all. Untracked, the M4R kernel eliminates
-// and ops is nil. Tracked, the plain elimination also returns ops, whose
-// row r writes reduced row r as a combination of the input polynomials.
-// The RREF is unique, so the rows are the same.
-func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, track bool, s *linScratch) ([]anf.Poly, *gf2.Matrix) {
-	mat, order, monos := linearize(polys, ids, tab, s)
-	var rank int
-	var ops *gf2.Matrix
-	if track {
-		rank, ops = mat.RREFTracked()
-	} else {
-		rank = mat.RREFM4R()
+	red := gjeRowsIDs(polys, scratch.ids, tab, track, scratch)
+	out := make([]anf.Poly, len(red.rows))
+	for i := range out {
+		out[i] = red.poly(i)
 	}
-	return extractRows(mat, rank, order, monos), ops
+	return out, red.combos
 }
 
-// linearize builds the GF(2) matrix of the polynomials: one column per
-// distinct monomial, sorted descending (leading terms first) so the
-// reduction eliminates high-degree monomials first, mirroring Table I.
-func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch) (*gf2.Matrix, []uint32, []anf.Monomial) {
+// gjeRowsIDs is the linearize→eliminate kernel. ids holds the term IDs of
+// every polynomial, concatenated in row order (row r owns the next
+// polys[r].NumTerms() entries), with every ID already interned in tab —
+// so each column index is an integer array lookup and the hot path does
+// no string hashing at all. The sparse Gauss–Jordan kernel reduces the
+// column lists; tracked, it also lists the input rows behind each reduced
+// row. The result reads the scratch, so it is only valid until s is put
+// back.
+func gjeRowsIDs(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, track bool, s *linScratch) reduction {
+	rows := linearize(polys, ids, tab, s)
+	red, combos := gf2.SparseRREF(rows, tab.Len(), track)
+	return reduction{rows: red, combos: combos, order: s.order, monos: tab.Monos()}
+}
+
+// linearize turns the polynomials into sparse GF(2) rows: one column per
+// distinct monomial, sorted descending (leading terms first, the constant
+// last) so the reduction eliminates high-degree monomials first,
+// mirroring Table I. A polynomial's terms run in that same order, so each
+// row's columns come out ascending.
+func linearize(polys []anf.Poly, ids []uint32, tab *anf.MonoTable, s *linScratch) [][]int32 {
 	monos := tab.Monos()
-	order, col := s.orderBufs(len(monos)) // col: monomial ID → matrix column
+	s.order, s.col = resize(s.order, len(monos)), resize(s.col, len(monos))
+	order, col := s.order, s.col
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return monos[order[i]].Compare(monos[order[j]]) > 0
-	})
+	slices.SortFunc(order, func(a, b uint32) int { return monos[b].Compare(monos[a]) })
 	for c, id := range order {
-		col[id] = c
+		col[id] = int32(c)
 	}
-	mat := gf2.NewMatrix(len(polys), len(monos))
+	s.ents, s.rows = resize(s.ents, len(ids)), resize(s.rows, len(polys))
+	ents, rows := s.ents, s.rows
+	for k, id := range ids {
+		ents[k] = col[id]
+	}
 	pos := 0
 	for r, p := range polys {
-		row := mat.Row(r)
-		for n := p.NumTerms(); n > 0; n-- {
-			c := col[ids[pos]]
-			pos++
-			gf2.XorBit(row, c)
-		}
+		n := p.NumTerms()
+		rows[r] = ents[pos : pos+n : pos+n]
+		pos += n
 	}
-	return mat, order, monos
+	return rows
 }
 
-// extractRows reads the first rank reduced rows back into polynomials.
-func extractRows(mat *gf2.Matrix, rank int, order []uint32, monos []anf.Monomial) []anf.Poly {
-	out := make([]anf.Poly, 0, rank)
-	var terms []anf.Monomial
-	for r := 0; r < rank; r++ {
-		terms = terms[:0]
-		gf2.ForEachSetBit(mat.Row(r), func(c int) {
-			if c < len(order) {
-				terms = append(terms, monos[order[c]])
-			}
-		})
-		// Ascending columns are descending monomials — already the
-		// canonical Poly term order, so skip FromMonomials' sort.
-		out = append(out, anf.FromSortedMonomials(terms))
+// reduction is a reduced linearization: the nonzero RREF rows as
+// ascending column lists, sorted by leading column; when tracked, the
+// input rows whose sum each one is; and the monomial of every column.
+type reduction struct {
+	rows, combos [][]int32
+	order        []uint32       // column → monomial ID
+	monos        []anf.Monomial // monomial ID → monomial
+	terms        []anf.Monomial // poly's scratch
+}
+
+func (r *reduction) mono(c int32) anf.Monomial { return r.monos[r.order[c]] }
+
+// poly builds reduced row i as a polynomial. Ascending columns are
+// descending monomials — already the canonical Poly term order, so
+// FromMonomials' sort is skipped.
+func (r *reduction) poly(i int) anf.Poly {
+	r.terms = r.terms[:0]
+	for _, c := range r.rows[i] {
+		r.terms = append(r.terms, r.mono(c))
 	}
-	return out
+	return anf.FromSortedMonomials(r.terms)
+}
+
+// isFact reports whether reduced row i is a fact XL keeps — linear,
+// monomial + 1, or 1 — without building it. Columns run in descending
+// graded order, so the leading column carries the row's degree and the
+// constant, when the row has it, is its last column.
+func (r *reduction) isFact(i int) bool {
+	row := r.rows[i]
+	return r.mono(row[0]).Deg() <= 1 || (len(row) == 2 && r.mono(row[1]).IsOne())
 }

@@ -2,10 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/anf"
+	"repro/internal/conv"
+	"repro/internal/gf2"
 	"repro/internal/proof"
+	"repro/internal/satgen"
 )
 
 // TestTableI reproduces the paper's Table I: XL with D=1 on the system
@@ -217,5 +221,117 @@ func TestElimLinSoundRandom(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// denseGJERows is the linearize→eliminate→extract path of a dense
+// matrix: one column per distinct monomial, descending, plain RREF, and
+// every nonzero reduced row read back as a polynomial.
+func denseGJERows(polys []anf.Poly) []anf.Poly {
+	var monos []anf.Monomial
+	col := map[string]int{}
+	for _, p := range polys {
+		for _, t := range p.Terms() {
+			if _, ok := col[t.Key()]; !ok {
+				col[t.Key()] = 0
+				monos = append(monos, t)
+			}
+		}
+	}
+	sort.Slice(monos, func(i, j int) bool { return monos[i].Compare(monos[j]) > 0 })
+	for c, m := range monos {
+		col[m.Key()] = c
+	}
+	mat := gf2.NewMatrix(len(polys), len(monos))
+	for r, p := range polys {
+		for _, t := range p.Terms() {
+			mat.Flip(r, col[t.Key()])
+		}
+	}
+	out := make([]anf.Poly, mat.RREF())
+	for r := range out {
+		var ts []anf.Monomial
+		for c, m := range monos {
+			if mat.Get(r, c) {
+				ts = append(ts, m)
+			}
+		}
+		out[r] = anf.FromMonomials(ts...)
+	}
+	return out
+}
+
+// xlExpansion returns the first n polynomials of sys with their products
+// by every variable they share the subsample with: an XL-shaped system
+// (D = 1) small enough for the dense reference.
+func xlExpansion(sys *anf.System, n int) []anf.Poly {
+	polys := sys.Polys()
+	if len(polys) > n {
+		polys = polys[:n]
+	}
+	out := append([]anf.Poly(nil), polys...)
+	vars := collectVars(polys)
+	for _, p := range polys {
+		for _, v := range vars {
+			if q := p.MulMonomial(anf.NewMonomial(v)); !q.IsZero() {
+				out = append(out, q)
+			}
+		}
+	}
+	return out
+}
+
+// gjeRows must return the dense path's reduced rows, tracked or not, on
+// XL-shaped systems from each family: SR, Simon, and CNF through
+// CNFToANF. Each tracked row must be the sum of the inputs listed for it,
+// and the fact test XL applies to unbuilt rows must agree with the
+// polynomial predicates on the built ones.
+func TestGJERowsMatchDense(t *testing.T) {
+	php := conv.CNFToANF(satgen.Pigeonhole(5, 4).Formula, conv.DefaultOptions())
+	systems := map[string][]anf.Poly{
+		"sr":          xlExpansion(benchSRSystem(), 30),
+		"simon":       xlExpansion(benchSimonSystem(), 20),
+		"php-5-4":     xlExpansion(php, 60),
+		"table-i":     xlExpansion(sysFrom(t, "x1*x2 + x1 + 1\nx2*x3 + x3\n"), 2),
+		"cancels-out": {anf.VarPoly(1), anf.VarPoly(1), anf.Zero()},
+	}
+	for name, polys := range systems {
+		want := denseGJERows(polys)
+		got, none := gjeRows(polys, false)
+		tracked, combos := gjeRows(polys, true)
+		if none != nil {
+			t.Fatalf("%s: untracked gjeRows returned combinations", name)
+		}
+		for _, rows := range [][]anf.Poly{got, tracked} {
+			if len(rows) != len(want) {
+				t.Fatalf("%s: %d reduced rows, want %d", name, len(rows), len(want))
+			}
+			for i := range want {
+				if !rows[i].Equal(want[i]) {
+					t.Fatalf("%s: row %d = %v, want %v", name, i, rows[i], want[i])
+				}
+			}
+		}
+		for i, combo := range combos {
+			sum := anf.Zero()
+			for _, j := range combo {
+				sum = sum.Add(polys[j])
+			}
+			if !sum.Equal(tracked[i]) {
+				t.Fatalf("%s: the inputs listed for row %d sum to %v, want %v", name, i, sum, tracked[i])
+			}
+		}
+		s := getLinScratch()
+		for _, p := range polys {
+			s.ids = s.tab.AppendTermIDs(s.ids, p)
+		}
+		red := gjeRowsIDs(polys, s.ids, s.tab, false, s)
+		for i := range red.rows {
+			p := red.poly(i)
+			if want := p.IsLinear() || p.IsMonomialPlusOne() || p.IsOne(); red.isFact(i) != want {
+				t.Fatalf("%s: row %v classified as fact = %v, want %v", name, p, !want, want)
+			}
+		}
+		putLinScratch(s)
 	}
 }

@@ -37,53 +37,6 @@ func (m *Matrix) RREF() int {
 	return rank
 }
 
-// RREFTracked reduces the matrix in place to reduced row echelon form
-// with the same plain Gauss–Jordan loop as RREF, and additionally returns
-// an ops matrix recording the row operations: after the call,
-//
-//	new_row[r] = XOR over { original_row[j] : ops.Get(r, j) }.
-//
-// RREF of a matrix is unique, so the reduced rows (and their order — pivot
-// rows sorted by leading column, zero rows last) are bit-identical to what
-// RREFM4R produces for the same input; only the run time differs.
-// The provenance-tracking elimination paths use this to attribute every
-// reduced row to an exact GF(2) combination of input rows.
-func (m *Matrix) RREFTracked() (int, *Matrix) {
-	ops := Identity(m.rows)
-	rank := 0
-	for col := 0; col < m.cols && rank < m.rows; col++ {
-		pivot := -1
-		for r := rank; r < m.rows; r++ {
-			if m.Get(r, col) {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		m.SwapRows(rank, pivot)
-		ops.SwapRows(rank, pivot)
-		prow := m.Row(rank)
-		orow := ops.Row(rank)
-		for r := 0; r < m.rows; r++ {
-			if r == rank || !m.Get(r, col) {
-				continue
-			}
-			row := m.Row(r)
-			for w := range row {
-				row[w] ^= prow[w]
-			}
-			xrow := ops.Row(r)
-			for w := range xrow {
-				xrow[w] ^= orow[w]
-			}
-		}
-		rank++
-	}
-	return rank, ops
-}
-
 // Rank returns the rank of the matrix without modifying it.
 func (m *Matrix) Rank() int {
 	return m.Clone().RREF()
@@ -152,8 +105,7 @@ func m4rK(rows, cols, stride int) int {
 //   - Per-row lead tracking: the leading column of every unfinished row is
 //     maintained across rounds, so pivot selection is one scan of an int32
 //     array (the k smallest distinct leads) instead of a per-column probe
-//     of the matrix — empty columns cost nothing, which is what makes the
-//     wide, sparse XL linearizations cheap.
+//     of the matrix — empty columns cost nothing.
 //   - Skip-zero prefix: every table row is a combination of pivot rows,
 //     all of which lead at or after the round's first pivot column, so the
 //     build and the application both run over [startWord, stride) only.

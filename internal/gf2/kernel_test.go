@@ -37,9 +37,9 @@ func randomShapedMatrix(rng *rand.Rand) *Matrix {
 	return m
 }
 
-// Both elimination kernels — plain Gauss–Jordan and M4R — must return
-// the identical rank and identical canonical rows (RREF is unique, so this
-// is full bit equality).
+// The elimination kernels — plain Gauss–Jordan, M4R and the sparse
+// kernel, tracked or not — must return the identical rank and identical
+// canonical rows (RREF is unique, so this is full bit equality).
 func TestKernelsAgreeFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 120; trial++ {
@@ -52,6 +52,15 @@ func TestKernelsAgreeFuzz(t *testing.T) {
 		}
 		if !plain.Equal(m4r) {
 			t.Fatalf("trial %d (%dx%d): RREF differs plain vs m4r", trial, m.Rows(), m.Cols())
+		}
+		for _, track := range []bool{false, true} {
+			red, _ := SparseRREF(sparseOf(m), m.Cols(), track)
+			if len(red) != rp {
+				t.Fatalf("trial %d (%dx%d): rank plain=%d sparse=%d (tracked %v)", trial, m.Rows(), m.Cols(), rp, len(red), track)
+			}
+			if !denseOf(red, m.Cols()).Equal(rowsOf(plain, rp)) {
+				t.Fatalf("trial %d (%dx%d): RREF differs plain vs sparse (tracked %v)", trial, m.Rows(), m.Cols(), track)
+			}
 		}
 	}
 }

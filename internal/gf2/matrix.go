@@ -1,15 +1,20 @@
-// Package gf2 provides dense linear algebra over GF(2), the Galois field of
-// two elements. It is the reproduction of the role played by the M4RI
-// library in Bosphorus: every XL and ElimLin step linearizes a polynomial
-// system into a dense Boolean matrix and reduces it with Gauss–Jordan
-// elimination.
+// Package gf2 provides linear algebra over GF(2), the Galois field of two
+// elements. It plays the role the M4RI library plays in Bosphorus: every
+// XL and ElimLin step linearizes a polynomial system into a Boolean
+// matrix and reduces it with Gauss–Jordan elimination.
 //
-// Matrices are stored row-major with 64 columns packed per machine word, so
-// row operations (the inner loop of elimination) are word-parallel XORs. In
-// addition to the plain Gauss–Jordan kernel the package implements the
-// "Method of the Four Russians" elimination (M4R), the algorithm M4RI is
-// named after, which processes pivot blocks of k rows at a time through a
-// 2^k-entry combination table.
+// Those linearizations are thousands of columns wide and nearly empty, and
+// stay so after reduction, so they never become dense matrices here:
+// SparseRREF reduces them as one ascending column list per row, and can also
+// list the input rows each reduced row sums (the provenance path). Dense
+// matrices are stored row-major with 64 columns packed per machine word, so
+// row operations (the inner loop of elimination) are word-parallel XORs.
+// Besides the plain Gauss–Jordan kernel (behind Rank and NullSpace, and the
+// tests' reference), the package implements the "Method of the Four
+// Russians" elimination (M4R), the algorithm M4RI is named after, which
+// processes pivot blocks of k rows at a time through a 2^k-entry combination
+// table; the SAT solver's Gauss side-car and the fragment router's XOR solve
+// run it.
 package gf2
 
 import (

@@ -66,28 +66,45 @@ func TestKernelDegenerateShapes(t *testing.T) {
 	}
 }
 
-// RREFTracked must mirror the optimized kernel bit-identically (RREF is
-// unique) and its ops matrix must replay: ops · original == reduced. The
-// provenance witnesses and VerifyFacts replay depend on both halves.
+// The tracked sparse kernel must mirror the M4R kernel bit-identically
+// (RREF is unique) and its combinations must replay: the XOR of the input
+// rows listed for a reduced row is that row. The provenance witnesses and
+// VerifyFacts replay depend on both halves.
 func TestTrackedMirrorsOptimizedKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
 		m := randomShapedMatrix(rng)
-		tracked, fast := m.Clone(), m.Clone()
-		rt, ops := tracked.RREFTracked()
+		fast := m.Clone()
 		rf := fast.RREFM4R()
-		if rt != rf {
-			t.Fatalf("trial %d (%dx%d): rank tracked=%d fast=%d", trial, m.Rows(), m.Cols(), rt, rf)
+		rows := sparseOf(m)
+		red, combos := SparseRREF(rows, m.Cols(), true)
+		if len(red) != rf {
+			t.Fatalf("trial %d (%dx%d): rank tracked=%d fast=%d", trial, m.Rows(), m.Cols(), len(red), rf)
 		}
-		if !tracked.Equal(fast) {
+		if got := denseOf(red, m.Cols()); !got.Equal(rowsOf(fast, rf)) {
 			t.Fatalf("trial %d (%dx%d): tracked RREF not bit-identical to optimized kernel",
 				trial, m.Rows(), m.Cols())
 		}
-		if replay := ops.Mul(m); !replay.Equal(tracked) {
-			t.Fatalf("trial %d (%dx%d): ops matrix does not replay the reduction",
-				trial, m.Rows(), m.Cols())
+		for i, combo := range combos {
+			replay := NewMatrix(1, m.Cols())
+			for _, j := range combo {
+				replay.AddRowFrom(0, m.Row(int(j)))
+			}
+			if !replay.Equal(denseOf(red[i:i+1], m.Cols())) {
+				t.Fatalf("trial %d (%dx%d): combination %d does not replay the reduction",
+					trial, m.Rows(), m.Cols(), i)
+			}
 		}
 	}
+}
+
+// rowsOf returns a copy of m's first n rows.
+func rowsOf(m *Matrix, n int) *Matrix {
+	out := NewMatrix(n, m.Cols())
+	for r := 0; r < n; r++ {
+		copy(out.Row(r), m.Row(r))
+	}
+	return out
 }
 
 // Smeared bits past the last valid column must not change the computed

@@ -12,6 +12,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -175,29 +176,47 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // worker owns one pool slot: pull a job, run it under the job's context,
-// publish the response, repeat until the queue closes.
+// publish the response, repeat until the queue closes. A job that panics
+// fails alone: its request gets an error, nothing is cached, and the
+// worker goes on to the next job.
 func (s *Server) worker() {
 	defer s.pool.Done()
 	for jb := range s.queue {
 		s.metrics.QueueDepth.Add(-1)
 		start := time.Now()
-		var resp *Response
-		if jb.kind == kindCube && s.cfg.Role == RoleCoordinator {
-			resp = s.runCubeCoordinator(jb)
-		} else {
-			resp = jb.run(s.cfg.Engine, s.metrics)
-		}
-		if resp.Status == "CANCELED" {
+		resp, err := s.runJob(jb)
+		switch {
+		case err != nil:
+			s.metrics.JobsFailed.Add(1)
+		case resp.Status == "CANCELED":
 			s.metrics.JobsCanceled.Add(1)
-		} else {
+		default:
 			s.metrics.JobsCompleted.Add(1)
 			s.cache.Put(jb.key, resp)
 		}
 		s.metrics.ObserveLatency(time.Since(start))
-		s.logf("job mode=%s status=%s elapsed=%s", jb.req.Mode, resp.Status, time.Since(start))
-		jb.resp = resp
+		if err != nil {
+			s.logf("job mode=%s key=%.12s failed elapsed=%s: %v", jb.req.Mode, jb.key, time.Since(start), err)
+		} else {
+			s.logf("job mode=%s status=%s elapsed=%s", jb.req.Mode, resp.Status, time.Since(start))
+		}
+		jb.resp, jb.err = resp, err
 		close(jb.done)
 	}
+}
+
+// runJob runs one job, turning a panic anywhere in its solve into an
+// error that carries the panic value and stack.
+func (s *Server) runJob(jb *job) (resp *Response, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			resp, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	if jb.kind == kindCube && s.cfg.Role == RoleCoordinator {
+		return s.runCubeCoordinator(jb), nil
+	}
+	return jb.run(s.cfg.Engine, s.metrics), nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -268,6 +287,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	<-jb.done
+	if jb.err != nil {
+		http.Error(w, "internal error: the job failed", http.StatusInternalServerError)
+		return
+	}
 	writeJSON(w, http.StatusOK, jb.resp)
 }
 

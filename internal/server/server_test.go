@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anf"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/satgen"
@@ -268,6 +270,45 @@ func TestCacheKeyIgnoresEngineWorkers(t *testing.T) {
 		}
 		if split := one.key != four.key; split != (mode == "cube") {
 			t.Errorf("mode %s: workers splits the cache key = %v", mode, split)
+		}
+	}
+}
+
+// A panic in a solve stays inside its job: the request gets a 500, the
+// job counts as failed, nothing is cached, and the worker goes on to serve
+// the next request. The technique panics on systems over more than three
+// variables, so the paper's five-variable example trips it and easyANF
+// does not. With three learners at once the panic is raised on a learner
+// goroutine and must be re-raised on the worker's.
+func TestJobPanicContained(t *testing.T) {
+	boom := core.TechniqueFunc{TechName: "boom", Fn: func(_ context.Context, sys *anf.System, _ *rand.Rand) []anf.Poly {
+		if sys.NumVars() > 4 {
+			panic("boom")
+		}
+		return nil
+	}}
+	const paperANF = "x1*x2 + x3 + x4 + 1\nx1*x2*x3 + x1 + x3 + 1\nx1*x3 + x3*x4*x5 + x3\nx2*x3 + x3*x5 + 1\nx2*x3 + x5 + 1\n"
+	for _, workers := range []int{1, 3} {
+		engine := core.DefaultConfig()
+		engine.Workers = workers
+		engine.ExtraTechniques = []core.Technique{boom}
+		s, ts := newTestServer(t, Config{Workers: workers, Engine: engine})
+		for i := 0; i < 2; i++ {
+			resp, _ := postJob(t, ts.URL, Request{Format: "anf", Input: paperANF, Mode: "solve"})
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("workers=%d: panicking job %d answered %d, want 500", workers, i, resp.StatusCode)
+			}
+		}
+		resp, out := postJob(t, ts.URL, Request{Format: "anf", Input: easyANF, Mode: "solve"})
+		if resp.StatusCode != http.StatusOK || out == nil || out.Cached {
+			t.Fatalf("workers=%d: next job answered %d (%+v), want a fresh 200", workers, resp.StatusCode, out)
+		}
+		m := s.Metrics()
+		if failed, done := m.JobsFailed.Load(), m.JobsCompleted.Load(); failed != 2 || done != 1 {
+			t.Errorf("workers=%d: failed=%d completed=%d, want 2 and 1", workers, failed, done)
+		}
+		if hits, cached := m.CacheHits.Load(), s.cache.Len(); hits != 0 || cached != 1 {
+			t.Errorf("workers=%d: cache hits=%d entries=%d, want 0 and 1 (the good job only)", workers, hits, cached)
 		}
 	}
 }

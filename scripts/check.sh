@@ -100,6 +100,9 @@ go test -run '^$' -fuzz '^FuzzDirectives$' -fuzztime 3s ./internal/lint
 echo "==> parity clause fuzz (a few seconds)"
 go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
 
+echo "==> sparse GF(2) elimination fuzz (a few seconds)"
+go test -run '^$' -fuzz '^FuzzSparseRREF$' -fuzztime 3s ./internal/gf2
+
 echo "==> bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers' -benchtime 1x \
 	./internal/anf ./internal/core ./internal/gf2
