@@ -26,6 +26,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/conv"
 	"repro/internal/core"
+	"repro/internal/minimize"
 	"repro/internal/proof"
 	"repro/internal/sat"
 )
@@ -50,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		m         = fs.Int("m", 20, "XL/ElimLin subsample size exponent M (linearized cells ≈ 2^M)")
 		deltaM    = fs.Int("dm", 4, "XL expansion allowance δM")
 		xlDeg     = fs.Int("d", 1, "XL multiplier degree D")
-		karnaugh  = fs.Int("k", 8, "Karnaugh parameter K (ANF→CNF)")
+		karnaugh  = fs.Int("k", 8, fmt.Sprintf("Karnaugh parameter K (ANF→CNF), at most %d", minimize.MaxVars))
 		cutLen    = fs.Int("l", 5, "XOR cutting length L (ANF→CNF)")
 		clauseCut = fs.Int("lp", 5, "clause cutting length L′ (CNF→ANF)")
 		budget    = fs.Int64("confl", 10000, "starting SAT conflict budget C")
@@ -77,6 +78,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if (*anfPath == "") == (*cnfPath == "") {
 		return fmt.Errorf("exactly one of -anf or -cnf is required")
+	}
+	if *karnaugh > minimize.MaxVars {
+		return fmt.Errorf("-k %d exceeds the logic minimizer's limit of %d variables", *karnaugh, minimize.MaxVars)
 	}
 
 	if *cpuProf != "" {

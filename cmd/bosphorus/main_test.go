@@ -108,6 +108,12 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-anf", in, "-solver", "nope"}, &out, &errw); err == nil {
 		t.Fatal("bad solver not rejected")
 	}
+	if err := run([]string{"-anf", in, "-k", "21"}, &out, &errw); err == nil {
+		t.Fatal("-k above the minimizer's limit not rejected")
+	}
+	if err := run([]string{"-anf", in, "-k", "20"}, &out, &errw); err != nil {
+		t.Fatalf("-k at the minimizer's limit rejected: %v", err)
+	}
 }
 
 func TestEnumerateSolutions(t *testing.T) {

@@ -1,6 +1,7 @@
 package anf
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -170,18 +171,16 @@ func (p Poly) Equal(q Poly) bool {
 
 // Vars returns the sorted set of variables occurring in p.
 func (p Poly) Vars() []Var {
-	seen := map[Var]struct{}{}
+	n := 0
 	for _, t := range p.terms {
-		for _, v := range t.Vars() {
-			seen[v] = struct{}{}
-		}
+		n += len(t.vars)
 	}
-	out := make([]Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	out := make([]Var, 0, n)
+	for _, t := range p.terms {
+		out = append(out, t.vars...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ContainsVar reports whether v occurs in any term of p.

@@ -2,6 +2,7 @@ package anf
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -243,5 +244,34 @@ func TestQuickSubstituteEval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Vars must return what a set-based gather returns: each variable once,
+// ascending.
+func TestVarsMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 2000; trial++ {
+		p := randPoly(rng, 1+rng.Intn(300), rng.Intn(40), rng.Intn(6))
+		seen := map[Var]bool{}
+		for _, term := range p.Terms() {
+			for _, v := range term.Vars() {
+				seen[v] = true
+			}
+		}
+		want := make([]Var, 0, len(seen))
+		for v := range seen {
+			want = append(want, v)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		got := p.Vars()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: Vars(%s) = %v, want %v", trial, p, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: Vars(%s) = %v, want %v", trial, p, got, want)
+			}
+		}
 	}
 }

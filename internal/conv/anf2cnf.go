@@ -7,17 +7,27 @@
 // minimizer path (when it involves at most K distinct variables) or
 // through a Tseitin-style XOR enumeration.
 //
+// The Karnaugh path reads a polynomial's truth table off its monomials
+// with the Möbius butterfly (anf.Poly.PackedTruthTable), never evaluating
+// it point by point. Systems repeat a handful of shapes, so each
+// conversion keeps a memo from (variable count, table) to the
+// minimizer's cubes and runs the minimizer once per distinct table; the
+// memo lives and dies with one ANFToCNF call. Its clauses are carved from
+// a per-conversion literal slab instead of being allocated one by one.
+//
 // CNF→ANF maps each clause to the product of its negated literals, first
 // splitting clauses so no piece has more than L′ positive literals (each
 // positive literal doubles the term count).
 package conv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/anf"
 	"repro/internal/cnf"
+	"repro/internal/gf2"
 	"repro/internal/minimize"
 )
 
@@ -26,7 +36,8 @@ type Options struct {
 	// CutLen is L: the maximum number of XOR terms per emitted piece.
 	CutLen int
 	// KarnaughK is K: polynomials over at most this many distinct
-	// variables go through the logic-minimizer path.
+	// variables go through the logic-minimizer path. Values above
+	// minimize.MaxVars act as minimize.MaxVars.
 	KarnaughK int
 	// ClauseCutLen is L′: the maximum positive literals per clause piece in
 	// CNF→ANF conversion.
@@ -107,19 +118,39 @@ type converter struct {
 	opts Options
 	f    *cnf.Formula
 	vm   *VarMap
+
+	// covers maps a Karnaugh key (variable count, then the packed truth
+	// table) to the minimizer's cubes for it. It is only ever looked up.
+	covers map[string][]minimize.Cube
+	table  []uint64  // the current polynomial's packed truth table
+	key    []byte    // the current polynomial's covers key
+	onset  []uint32  // minimizer input, rebuilt on a covers miss
+	slab   []cnf.Lit // Karnaugh clauses are sub-slices of this
+}
+
+// slabLits is the literal count of one Karnaugh clause slab; a clause has
+// at most minimize.MaxVars literals.
+const slabLits = 4096
+
+func newConverter(sys *anf.System, opts Options) *converter {
+	if opts.CutLen < 3 {
+		opts.CutLen = 3
+	}
+	if opts.KarnaughK > minimize.MaxVars {
+		opts.KarnaughK = minimize.MaxVars
+	}
+	return &converter{
+		opts:   opts,
+		f:      cnf.NewFormula(sys.NumVars()),
+		vm:     newVarMap(sys.NumVars()),
+		covers: map[string][]minimize.Cube{},
+	}
 }
 
 // ANFToCNF converts the polynomial system to CNF. The returned VarMap
 // relates CNF variables back to ANF monomials.
 func ANFToCNF(sys *anf.System, opts Options) (*cnf.Formula, *VarMap) {
-	if opts.CutLen < 3 {
-		opts.CutLen = 3
-	}
-	c := &converter{
-		opts: opts,
-		f:    cnf.NewFormula(sys.NumVars()),
-		vm:   newVarMap(sys.NumVars()),
-	}
+	c := newConverter(sys, opts)
 	for _, p := range sys.Polys() {
 		c.addPoly(p)
 	}
@@ -146,32 +177,41 @@ func (c *converter) addPoly(p anf.Poly) {
 // addKarnaugh encodes p = 0 over its (few) variables by minimizing the
 // on-set of p (the forbidden assignments) and emitting one blocking clause
 // per prime-implicant cube — the paper's Karnaugh-map path, using our
-// Quine–McCluskey minimizer in place of ESPRESSO.
+// Quine–McCluskey minimizer in place of ESPRESSO. The minimizer runs once
+// per distinct (n, truth table) of the conversion; it is a pure function
+// of the ascending on-set, so the clauses and their order are those of a
+// run per polynomial.
 func (c *converter) addKarnaugh(p anf.Poly, vars []anf.Var) {
 	n := len(vars)
-	idx := map[anf.Var]int{}
-	for i, v := range vars {
-		idx[v] = i
+	c.table = p.PackedTruthTable(vars, c.table)
+	c.key = append(c.key[:0], byte(n))
+	for _, w := range c.table {
+		c.key = binary.LittleEndian.AppendUint64(c.key, w)
 	}
-	var onset []uint32
-	for m := uint32(0); m < 1<<uint(n); m++ {
-		val := p.Eval(func(v anf.Var) bool { return m>>uint(idx[v])&1 == 1 })
-		if val {
-			onset = append(onset, m)
-		}
+	cubes, ok := c.covers[string(c.key)]
+	if !ok {
+		c.onset = c.onset[:0]
+		gf2.ForEachSetBit(c.table, func(m int) { c.onset = append(c.onset, uint32(m)) })
+		cubes = minimize.Minimize(n, c.onset)
+		c.covers[string(c.key)] = cubes
 	}
-	cubes := minimize.Minimize(n, onset)
+	// The clauses' variables are ANF variables, all below the formula's
+	// initial NumVars, so they bypass AddClause and its copy.
 	for _, cube := range cubes {
-		var lits []cnf.Lit
+		if cap(c.slab)-len(c.slab) < n {
+			c.slab = make([]cnf.Lit, 0, slabLits)
+		}
+		start := len(c.slab)
 		for i, v := range vars {
 			if cube.Mask>>uint(i)&1 == 0 {
 				continue
 			}
 			// Cube demands vars[i] == bit; the clause must block it.
 			bit := cube.Val>>uint(i)&1 == 1
-			lits = append(lits, cnf.MkLit(cnf.Var(v), bit))
+			c.slab = append(c.slab, cnf.MkLit(cnf.Var(v), bit))
 		}
-		c.f.AddClause(lits...)
+		end := len(c.slab)
+		c.f.Clauses = append(c.f.Clauses, c.slab[start:end:end])
 	}
 }
 

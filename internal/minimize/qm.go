@@ -48,12 +48,15 @@ func (c Cube) String() string {
 	return string(out)
 }
 
+// MaxVars is the largest variable count Minimize accepts.
+const MaxVars = 20
+
 // Minimize returns a small set of cubes whose union is exactly the given
-// on-set over n variables (n ≤ 20). Minterms are bit patterns: bit i is
-// variable i's value. The result covers every on-set minterm and no
+// on-set over n variables (n ≤ MaxVars). Minterms are bit patterns: bit i
+// is variable i's value. The result covers every on-set minterm and no
 // off-set minterm.
 func Minimize(n int, onset []uint32) []Cube {
-	if n < 0 || n > 20 {
+	if n < 0 || n > MaxVars {
 		panic(fmt.Sprintf("minimize: unsupported variable count %d", n))
 	}
 	if len(onset) == 0 {

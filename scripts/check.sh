@@ -103,9 +103,12 @@ go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
 echo "==> sparse GF(2) elimination fuzz (a few seconds)"
 go test -run '^$' -fuzz '^FuzzSparseRREF$' -fuzztime 3s ./internal/gf2
 
+echo "==> ANF-to-CNF conversion fuzz against the reference encoder (a few seconds)"
+go test -run '^$' -fuzz '^FuzzANFToCNF$' -fuzztime 3s ./internal/conv
+
 echo "==> bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers' -benchtime 1x \
-	./internal/anf ./internal/core ./internal/gf2
+go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars' -benchtime 1x \
+	./internal/anf ./internal/conv ./internal/core ./internal/gf2
 
 echo "==> perfbench module (vet, tests, one-second traced run)"
 # perfbench is a Go module of its own (replace repro => ../), so the root
