@@ -1,12 +1,15 @@
 package anf
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzParsePoly checks that the parser never panics and that everything
-// it accepts survives a print/parse round trip.
+// FuzzParsePoly checks the byte-level parser against the reference
+// string-splitting one (parse_reference_test.go): both accept or both
+// reject, and accepted input gives the same polynomial, which survives a
+// print/parse round trip.
 func FuzzParsePoly(f *testing.F) {
 	for _, seed := range []string{
 		"x1*x2 + x3 + 1",
@@ -23,13 +26,24 @@ func FuzzParsePoly(f *testing.F) {
 		"y1",
 		"x",
 		"x1**x2",
+		"X3*x1*x3 +\u00a0x2\u3000⊕ 1 + 0",
+		"x0001 + x1",
+		"1 x1",
+		"x1\xc2",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := ParsePoly(s)
+		want, refErr := refParsePoly(s)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ParsePoly(%q): error %v, reference error %v", s, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !p.Equal(want) {
+			t.Fatalf("ParsePoly(%q) = %q, reference %q", s, p.String(), want.String())
 		}
 		back, err := ParsePoly(p.String())
 		if err != nil {
@@ -41,9 +55,11 @@ func FuzzParsePoly(f *testing.F) {
 	})
 }
 
-// FuzzReadSystem checks that the system reader — the entry point for
-// service payloads — never panics, and that accepted systems survive a
-// write/read round trip with the same equation count and variable space.
+// FuzzReadSystem checks the system reader — the entry point for service
+// payloads — against the reference reader: both accept or both reject,
+// and an accepted system has the same equations in the same slots, the
+// same NumVars and the same occurrence lists. Accepted systems also
+// survive a write/read round trip.
 func FuzzReadSystem(f *testing.F) {
 	for _, seed := range []string{
 		"x1*x2 + x3 + 1\nx1 + x3\n",
@@ -54,14 +70,22 @@ func FuzzReadSystem(f *testing.F) {
 		"\xff\xfex1\n",
 		"0\n1\n",
 		strings.Repeat("x1 + ", 50) + "1\n",
+		"c\nc x9\ncx1\n",
+		"\u00a0 x2*x1 ⊕ X1\r\n\tx5 + x5\n\u2003# x7\n",
+		"x3 + x3 + x2\nx2*x2*x4\n",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		sys, err := ReadSystem(strings.NewReader(s))
+		want, refErr := refReadSystem(strings.NewReader(s))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadSystem(%q): error %v, reference error %v", s, err, refErr)
+		}
 		if err != nil {
 			return
 		}
+		assertSameSystem(t, sys, want)
 		var sb strings.Builder
 		if err := WriteSystem(&sb, sys); err != nil {
 			t.Fatalf("write failed: %v", err)
@@ -70,11 +94,25 @@ func FuzzReadSystem(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip does not parse: %v", err)
 		}
-		if back.Len() != sys.Len() || back.NumVars() != sys.NumVars() {
-			t.Fatalf("round trip changed shape: %d/%d eqs, %d/%d vars",
-				sys.Len(), back.Len(), sys.NumVars(), back.NumVars())
-		}
+		assertSameSystem(t, back, sys)
 	})
+}
+
+// assertSameSystem fails unless got and want hold equal polynomials in
+// the same slots, the same NumVars and the same occurrence lists.
+func assertSameSystem(t *testing.T, got, want *System) {
+	t.Helper()
+	if got.RawLen() != want.RawLen() || got.NumVars() != want.NumVars() {
+		t.Fatalf("shape: %d slots, %d vars; want %d, %d", got.RawLen(), got.NumVars(), want.RawLen(), want.NumVars())
+	}
+	for i := 0; i < got.RawLen(); i++ {
+		if !got.At(i).Equal(want.At(i)) {
+			t.Fatalf("slot %d = %q, want %q", i, got.At(i).String(), want.At(i).String())
+		}
+	}
+	if !reflect.DeepEqual(got.occ, want.occ) {
+		t.Fatalf("occurrence lists differ:\n got %v\nwant %v", got.occ, want.occ)
+	}
 }
 
 // TestParseRejectsMalformed pins the hardening contract for the ANF

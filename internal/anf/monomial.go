@@ -11,15 +11,14 @@
 package anf
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Var identifies a Boolean variable. Variables print as x0, x1, ...
 type Var uint32
 
-func (v Var) String() string { return fmt.Sprintf("x%d", v) }
+func (v Var) String() string { return "x" + strconv.FormatUint(uint64(v), 10) }
 
 // Monomial is a product of distinct variables, stored sorted ascending.
 // The empty monomial is the constant 1.
@@ -199,12 +198,19 @@ func (m Monomial) Eval(assign func(Var) bool) bool {
 
 // String renders the monomial like "x1*x2*x7", or "1" for the constant.
 func (m Monomial) String() string {
+	return string(m.appendText(make([]byte, 0, 6*len(m.vars)+1)))
+}
+
+// appendText appends the String form of m to b.
+func (m Monomial) appendText(b []byte) []byte {
 	if m.IsOne() {
-		return "1"
+		return append(b, '1')
 	}
-	parts := make([]string, len(m.vars))
 	for i, v := range m.vars {
-		parts[i] = v.String()
+		if i > 0 {
+			b = append(b, '*')
+		}
+		b = strconv.AppendUint(append(b, 'x'), uint64(v), 10)
 	}
-	return strings.Join(parts, "*")
+	return b
 }

@@ -3,7 +3,6 @@ package anf
 import (
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Poly is a Boolean polynomial: a GF(2) sum (XOR) of distinct monomials.
@@ -26,11 +25,17 @@ func OnePoly() Poly { return Poly{terms: []Monomial{One}} }
 // FromMonomials builds a polynomial from monomials, cancelling duplicates
 // in pairs (m ⊕ m = 0).
 func FromMonomials(ms ...Monomial) Poly {
-	ts := append([]Monomial(nil), ms...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) > 0 })
+	out := sortCancel(append([]Monomial(nil), ms...))
+	return Poly{terms: append([]Monomial(nil), out...)}
+}
+
+// sortCancel sorts ts into descending term order and cancels equal terms
+// in pairs (m ⊕ m = 0), in place. It returns the surviving prefix of ts.
+func sortCancel(ts []Monomial) []Monomial {
+	slices.SortFunc(ts, func(a, b Monomial) int { return b.Compare(a) })
 	out := ts[:0]
 	for i := 0; i < len(ts); {
-		j := i
+		j := i + 1
 		for j < len(ts) && ts[j].Equal(ts[i]) {
 			j++
 		}
@@ -39,7 +44,7 @@ func FromMonomials(ms ...Monomial) Poly {
 		}
 		i = j
 	}
-	return Poly{terms: append([]Monomial(nil), out...)}
+	return out
 }
 
 // FromSortedMonomials builds a polynomial from monomials that are already
@@ -249,14 +254,21 @@ func (p Poly) IsMonomialPlusOne() bool {
 // String renders the polynomial like "x1*x2 + x3 + 1" ("+" is GF(2)
 // addition, i.e. XOR). The zero polynomial renders as "0".
 func (p Poly) String() string {
+	return string(p.appendText(make([]byte, 0, 8*len(p.terms)+1)))
+}
+
+// appendText appends the String form of p to b.
+func (p Poly) appendText(b []byte) []byte {
 	if p.IsZero() {
-		return "0"
+		return append(b, '0')
 	}
-	parts := make([]string, len(p.terms))
 	for i, t := range p.terms {
-		parts[i] = t.String()
+		if i > 0 {
+			b = append(b, " + "...)
+		}
+		b = t.appendText(b)
 	}
-	return strings.Join(parts, " + ")
+	return b
 }
 
 // MaxVar returns the largest variable index occurring in p and true, or

@@ -231,13 +231,76 @@ func (s *System) SortedByDegree() []Poly {
 // CompactOccurrences rebuilds all occurrence lists from scratch, dropping
 // stale entries. Called after heavy substitution rounds.
 func (s *System) CompactOccurrences() {
-	s.occ = make(map[Var][]int)
-	for i, p := range s.polys {
-		if p.IsZero() {
-			continue
-		}
-		for _, v := range p.Vars() {
-			s.occ[v] = append(s.occ[v], i)
+	s.occ, _ = occurrences(s.polys, s.numVars)
+}
+
+// occurrences builds the occurrence lists of polys (zero slots have none)
+// and returns them with one more than the largest variable index seen.
+// bound exceeds every variable index in polys. The lists are built in one
+// pass at the end instead of one map append per (variable, equation):
+// count each variable's equations, carve every list as a capped sub-slice
+// of one backing array, then fill them. A sparse index space — a few huge
+// indices, where per-variable counters would cost more than the input —
+// takes the append path instead.
+func occurrences(polys []Poly, bound int) (map[Var][]int, int) {
+	n := 0
+	for _, p := range polys {
+		for _, t := range p.terms {
+			n += len(t.vars)
 		}
 	}
+	numVars := 0
+	if bound > n+1024 {
+		occ := make(map[Var][]int)
+		for i, p := range polys {
+			for _, v := range p.Vars() {
+				occ[v] = append(occ[v], i)
+				numVars = max(numVars, int(v)+1)
+			}
+		}
+		return occ, numVars
+	}
+	// pos[v] counts v's equations, then holds where its next entry goes.
+	// seen[v] is 1 + the last equation that counted v, negated while
+	// filling, so a variable repeated across a polynomial's terms counts
+	// once.
+	pos := make([]int, bound)
+	seen := make([]int, bound)
+	distinct := 0
+	for i, p := range polys {
+		for _, t := range p.terms {
+			for _, v := range t.vars {
+				if seen[v] != i+1 {
+					seen[v] = i + 1
+					if pos[v] == 0 {
+						distinct++
+					}
+					pos[v]++
+				}
+			}
+		}
+	}
+	occ := make(map[Var][]int, distinct)
+	lists := make([]int, 0, n)
+	for v, c := range pos {
+		if c > 0 {
+			a := len(lists)
+			lists = lists[:a+c]
+			occ[Var(v)] = lists[a : a+c : a+c]
+			pos[v] = a
+			numVars = v + 1
+		}
+	}
+	for i, p := range polys {
+		for _, t := range p.terms {
+			for _, v := range t.vars {
+				if seen[v] != -(i + 1) {
+					seen[v] = -(i + 1)
+					lists[pos[v]] = i
+					pos[v]++
+				}
+			}
+		}
+	}
+	return occ, numVars
 }

@@ -12,6 +12,7 @@ package cnf
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -60,7 +61,7 @@ func LitFromDimacs(d int) (Lit, error) {
 }
 
 // String renders the literal DIMACS-style ("3" or "-3").
-func (l Lit) String() string { return fmt.Sprintf("%d", l.Dimacs()) }
+func (l Lit) String() string { return strconv.Itoa(l.Dimacs()) }
 
 // Clause is a disjunction of literals.
 type Clause []Lit

@@ -29,7 +29,7 @@ const MaxVar = 1 << 26
 func ReadDimacs(r io.Reader) (*Formula, error) {
 	f := &Formula{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(nil, 1<<26) // grow from the scanner's default up to 64 MiB lines
 	var cur []Lit
 	var curXor []int
 	inXor := false
@@ -136,25 +136,30 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 // WriteDimacs writes the formula in DIMACS format, XOR clauses as "x" lines.
 func WriteDimacs(w io.Writer, f *Formula) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)+len(f.Xors))
+	b := append(bw.AvailableBuffer(), "p cnf "...)
+	b = strconv.AppendInt(b, int64(f.NumVars), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(f.Clauses)+len(f.Xors)), 10)
+	bw.Write(append(b, '\n'))
 	for _, c := range f.Clauses {
+		b = bw.AvailableBuffer()
 		for _, l := range c {
-			fmt.Fprintf(bw, "%d ", l.Dimacs())
+			b = append(strconv.AppendInt(b, int64(l.Dimacs()), 10), ' ')
 		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		if _, err := bw.Write(append(b, "0\n"...)); err != nil {
 			return err
 		}
 	}
 	for _, x := range f.Xors {
-		bw.WriteByte('x')
+		b = append(bw.AvailableBuffer(), 'x')
 		for i, v := range x.Vars {
-			d := int(v) + 1
+			d := int64(v) + 1
 			if i == len(x.Vars)-1 && !x.RHS {
 				d = -d
 			}
-			fmt.Fprintf(bw, "%d ", d)
+			b = append(strconv.AppendInt(b, d, 10), ' ')
 		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		if _, err := bw.Write(append(b, "0\n"...)); err != nil {
 			return err
 		}
 	}

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"time"
@@ -115,8 +113,10 @@ const (
 )
 
 // job is one unit of queued work: the parsed problem plus its
-// cancellation scope. done is closed by the worker after resp/err are
-// set.
+// cancellation scope. parseJob sets the input's own form (sys for ANF,
+// form for DIMACS) and the key; prepare adds the other form and formText
+// where the mode needs them. done is closed by the worker after resp/err
+// are set.
 type job struct {
 	kind     jobKind
 	req      Request
@@ -131,9 +131,10 @@ type job struct {
 	done chan struct{}
 }
 
-// parseJob validates a request and normalizes its input. The returned
-// job carries the parsed system/formula and the cache key; ctx/done are
-// filled in by the caller.
+// parseJob validates a request, parses its input and computes the cache
+// key, and does nothing more: a cache hit pays only for this. The
+// returned job carries the parsed system or formula and the key; ctx/done
+// are filled in by the caller, and prepare runs on a miss.
 func parseJob(req Request) (*job, error) {
 	jb := &job{req: req}
 	switch strings.ToLower(req.Mode) {
@@ -158,9 +159,7 @@ func parseJob(req Request) (*job, error) {
 		return nil, fmt.Errorf("proof is only supported in cube mode")
 	}
 
-	// Parse, then re-serialize for the cache key: two payloads that differ
-	// only in whitespace or comments normalize to the same key.
-	var canon strings.Builder
+	// Parse and key the input; conversions wait for a cache miss (prepare).
 	switch strings.ToLower(req.Format) {
 	case "anf":
 		sys, err := anf.ReadSystem(strings.NewReader(req.Input))
@@ -170,55 +169,39 @@ func parseJob(req Request) (*job, error) {
 		if sys.Len() == 0 {
 			return nil, fmt.Errorf("ANF input has no equations")
 		}
-		if err := anf.WriteSystem(&canon, sys); err != nil {
-			return nil, err
-		}
 		jb.sys = sys
-		if jb.kind == kindPortfolio || jb.kind == kindCube {
-			f, _ := conv.ANFToCNF(sys, conv.DefaultOptions())
-			jb.form = f
-		}
 	case "dimacs", "cnf":
 		f, err := cnf.ReadDimacs(strings.NewReader(req.Input))
 		if err != nil {
 			return nil, fmt.Errorf("bad DIMACS input: %w", err)
 		}
-		if err := cnf.WriteDimacs(&canon, f); err != nil {
-			return nil, err
-		}
 		jb.form = f
-		if jb.kind != kindPortfolio && jb.kind != kindCube {
-			jb.sys = conv.CNFToANF(f, conv.DefaultOptions())
-		}
 	default:
 		return nil, fmt.Errorf("unknown format %q (want anf or dimacs)", req.Format)
+	}
+	jb.key = jb.cacheKey()
+	return jb, nil
+}
+
+// prepare builds what only a run needs, once the cache has missed: the
+// CNF of an ANF portfolio or cube job, the ANF of a DIMACS process or
+// solve job, and a cube job's canonical DIMACS text.
+func (jb *job) prepare() {
+	cnfMode := jb.kind == kindPortfolio || jb.kind == kindCube
+	switch {
+	case cnfMode && jb.form == nil:
+		jb.form, _ = conv.ANFToCNF(jb.sys, conv.DefaultOptions())
+	case !cnfMode && jb.sys == nil:
+		jb.sys = conv.CNFToANF(jb.form, conv.DefaultOptions())
 	}
 	if jb.kind == kindCube {
 		// Cube tasks ship the formula to worker nodes as canonical DIMACS;
 		// serializing once here means every dispatched task (and the proof
 		// the client later checks) refers to the same normalized text.
 		var ft strings.Builder
-		if err := cnf.WriteDimacs(&ft, jb.form); err != nil {
-			return nil, err
-		}
+		_ = cnf.WriteDimacs(&ft, jb.form) // a strings.Builder does not fail
 		jb.formText = ft.String()
 	}
-
-	// Only a cube run depends on workers (its pool size changes the run):
-	// process and solve give the same result at every learner fan-out
-	// (core.Config.Workers) and portfolio ignores it, so for them workers
-	// stays out of the key.
-	workers := req.Workers
-	if jb.kind != kindCube {
-		workers = 0
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "mode=%d|iters=%d|confl=%d|seed=%d|workers=%d|timeout=%d|verify=%t|cubes=%d|proof=%t|route=%t|nonativexor=%t|",
-		jb.kind, req.MaxIterations, req.ConflictBudget, req.Seed, workers, req.TimeoutMS, req.Verify,
-		req.MaxCubes, req.Proof, req.Route, req.NoNativeXor)
-	h.Write([]byte(canon.String()))
-	jb.key = hex.EncodeToString(h.Sum(nil))
-	return jb, nil
 }
 
 // run executes the job under its context and fills resp. Engine config

@@ -205,14 +205,16 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob runs one job, turning a panic anywhere in its solve into an
-// error that carries the panic value and stack.
+// runJob converts the job's input where its mode needs it and runs it,
+// turning a panic anywhere in the conversion or solve into an error that
+// carries the panic value and stack.
 func (s *Server) runJob(jb *job) (resp *Response, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			resp, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
+	jb.prepare()
 	if jb.kind == kindCube && s.cfg.Role == RoleCoordinator {
 		return s.runCubeCoordinator(jb), nil
 	}

@@ -106,9 +106,14 @@ go test -run '^$' -fuzz '^FuzzSparseRREF$' -fuzztime 3s ./internal/gf2
 echo "==> ANF-to-CNF conversion fuzz against the reference encoder (a few seconds)"
 go test -run '^$' -fuzz '^FuzzANFToCNF$' -fuzztime 3s ./internal/conv
 
+echo "==> reader fuzz (ANF against the reference parser, DIMACS) and /solve handler fuzz (a few seconds each)"
+go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 3s ./internal/anf
+go test -run '^$' -fuzz '^FuzzReadDimacs$' -fuzztime 3s ./internal/cnf
+go test -run '^$' -fuzz '^FuzzSolveHandler$' -fuzztime 3s ./internal/server
+
 echo "==> bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars' -benchtime 1x \
-	./internal/anf ./internal/conv ./internal/core ./internal/gf2
+go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars|ReadSystem|SolveHit' -benchtime 1x \
+	./internal/anf ./internal/conv ./internal/core ./internal/gf2 ./internal/server
 
 echo "==> perfbench module (vet, tests, one-second traced run)"
 # perfbench is a Go module of its own (replace repro => ../), so the root
