@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench check perf smoke lint
+.PHONY: build test race bench check perf smoke lint proofsmoke
 
 build:
 	$(GO) build ./...
@@ -37,14 +37,12 @@ bench:
 check:
 	sh scripts/check.sh
 
-# proofsmoke runs only the proof round-trip: solve an UNSAT instance with
-# --proof and --verify-facts, check the DRAT with proofcheck, and confirm
-# a corrupted proof is rejected.
-proofsmoke: build
-	$(GO) run ./cmd/bosphorus -anf examples/instances/unsat_pair.anf -solve \
-		-no-xl -no-elimlin -verify-facts -proof /tmp/bosphorus.smoke.drat
-	$(GO) run ./cmd/proofcheck -cnf /tmp/bosphorus.smoke.drat.cnf -v /tmp/bosphorus.smoke.drat
-	rm -f /tmp/bosphorus.smoke.drat /tmp/bosphorus.smoke.drat.cnf
+# proofsmoke runs only the proof round-trip smokes (scripts/proofsmoke.sh,
+# which check.sh and CI run too): solve the UNSAT example instances with
+# --proof, check each DRAT with proofcheck, and confirm a corrupted proof
+# is rejected.
+proofsmoke:
+	sh scripts/proofsmoke.sh
 
 # perf writes a machine-readable kernel + CDCL + cube + fragment + parity
 # timing snapshot to BENCH_local.json, which git ignores. The BENCH_pr*.json

@@ -111,10 +111,6 @@ type Options struct {
 	// Horn, anti-Horn, or XOR, it is decided by a polynomial solver
 	// instead of CDCL. Result.RoutedVia names the fragment that answered.
 	Route bool
-	// NoNativeXor turns off the SAT solver's native parity clauses and
-	// restores the CNF-cut / Gauss-only XOR handling — the differential
-	// baseline. Native parity is the default (zero value).
-	NoNativeXor bool
 	// ExtraTechniques are user-supplied fact learners plugged into the
 	// workflow (§V: "it is relatively easy to include new solving
 	// techniques by plugging them as components").
@@ -193,7 +189,6 @@ func (o Options) toCore(stopOnSolution bool) core.Config {
 	cfg.EnableGroebner = o.EnableGroebner
 	cfg.EnableProbing = o.EnableProbing
 	cfg.Route = o.Route
-	cfg.NoNativeXor = o.NoNativeXor
 	cfg.ExtraTechniques = o.ExtraTechniques
 	cfg.Provenance = o.Provenance
 	cfg.EmitProof = o.EmitProof

@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		verbose   = fs.Bool("v", false, "log per-iteration progress")
 		probe     = fs.Bool("probe", false, "enable failed-literal probing in the SAT step (§V lookahead)")
 		routeFlag = fs.Bool("route", false, "classify the converted CNF and route tractable fragments (2SAT/Horn/XOR) to polynomial solvers before CDCL")
-		nativeXor = fs.Bool("native-xor", true, "keep XOR constraints as native parity clauses in the SAT solver (false = differential CNF-cut/Gauss baseline)")
 		groebner  = fs.Bool("groebner", false, "enable the budgeted Buchberger phase (§V)")
 		workers   = fs.Int("j", 0, "fact learners run at once; 0 and 1 = one at a time. The result is identical for every value")
 		enum      = fs.Int("enum", 0, "enumerate up to N solutions of the processed system over the original variables")
@@ -125,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.StopOnSolution = *solve
 	cfg.EnableProbing = *probe
 	cfg.Route = *routeFlag
-	cfg.NoNativeXor = !*nativeXor
 	cfg.EnableGroebner = *groebner
 	cfg.Workers = *workers
 	cfg.DisableXL = *noXL

@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		coordinator = fs.String("coordinator", "", "coordinator base URL (worker role)")
 		poll        = fs.Duration("poll", 100*time.Millisecond, "idle poll interval between cube pulls (worker role)")
 		routeFlag   = fs.Bool("route", false, "route tractable CNF fragments (2SAT/Horn/XOR) to polynomial solvers by default on every engine-mode job")
-		nativeXor   = fs.Bool("native-xor", true, "keep XOR constraints as native parity clauses in the SAT solver (false = CNF-cut/Gauss baseline, folded into the job cache key)")
 		verbose     = fs.Bool("v", false, "log one line per job")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -80,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	engine.MaxIterations = *maxIters
 	engine.Workers = *engineJ
 	engine.Route = *routeFlag
-	engine.NoNativeXor = !*nativeXor
 	switch *solver {
 	case "minisat":
 		engine.Profile = sat.ProfileMiniSat

@@ -51,7 +51,7 @@ func ReadSystem(r io.Reader) (*System, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxLineBytes)
 	var pr polyReader
-	var polys []Poly
+	sys := NewSystem()
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -67,15 +67,11 @@ func ReadSystem(r io.Reader) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		if !p.IsZero() {
-			polys = append(polys, p)
-		}
+		sys.Add(p)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sys := &System{polys: polys}
-	sys.occ, sys.numVars = occurrences(polys, pr.bound)
 	return sys, nil
 }
 
@@ -114,7 +110,6 @@ type polyReader struct {
 	terms []Monomial // slab the polynomials' terms are carved from
 	fac   []Var      // factors of the term being read
 	line  []Monomial // terms of the polynomial being read
-	bound int        // one more than the largest variable index read
 }
 
 // maxSlabChunk caps the element count of a slab chunk: chunks double from
@@ -178,9 +173,7 @@ func (pr *polyReader) readTerm(b []byte, i int) (int, error) {
 // them into the Var slab.
 func (pr *polyReader) carveVars(fac []Var) []Var {
 	slices.Sort(fac)
-	fac = slices.Compact(fac)
-	pr.bound = max(pr.bound, int(fac[len(fac)-1])+1)
-	return carve(&pr.vars, fac)
+	return carve(&pr.vars, slices.Compact(fac))
 }
 
 // carvePoly puts the line's terms in canonical order (descending

@@ -66,28 +66,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOccurrenceLists(t *testing.T) {
-	sys := exampleSystem(t)
-	// x1 occurs in equations 0,1,2 (indices into insertion order). The
-	// paper (§III-B) points out updates to x1 skip the last two equations.
-	occ := sys.Occurrences(1)
-	if len(occ) != 3 {
-		t.Fatalf("x1 occurrence list = %v", occ)
-	}
-	if sys.OccurrenceCount(1) != 3 {
-		t.Fatalf("x1 occurrence count = %d", sys.OccurrenceCount(1))
-	}
-	if sys.OccurrenceCount(5) != 3 {
-		t.Fatalf("x5 occurrence count = %d", sys.OccurrenceCount(5))
-	}
-	// Replace equation 0 with one not containing x1: count drops, list may
-	// keep the stale slot but OccurrenceCount must be exact.
-	sys.Replace(0, MustParsePoly("x3 + x4"))
-	if sys.OccurrenceCount(1) != 2 {
-		t.Fatalf("after replace, x1 count = %d, want 2", sys.OccurrenceCount(1))
-	}
-}
-
 func TestAddIgnoresZero(t *testing.T) {
 	sys := NewSystem()
 	if sys.Add(Zero()) {
@@ -140,17 +118,6 @@ func TestSortedByDegree(t *testing.T) {
 	}
 	if ps[0].Deg() != 2 || ps[len(ps)-1].Deg() != 3 {
 		t.Fatalf("degree range wrong: %d..%d", ps[0].Deg(), ps[len(ps)-1].Deg())
-	}
-}
-
-func TestCompactOccurrences(t *testing.T) {
-	sys := exampleSystem(t)
-	sys.Replace(0, Zero())
-	sys.CompactOccurrences()
-	for _, i := range sys.Occurrences(1) {
-		if sys.At(i).IsZero() {
-			t.Fatal("compacted occurrence list references deleted slot")
-		}
 	}
 }
 

@@ -121,7 +121,6 @@ func prepare(job Job, cfg Config, deadline time.Time) (*cnf.Formula, sat.Status,
 	ccfg.Seed = cfg.Seed
 	ccfg.Profile = cfg.Profile
 	ccfg.TimeBudget = time.Duration(float64(cfg.Timeout) * cfg.BosphorusShare)
-	ccfg.Conv.NativeXor = cfg.Profile == sat.ProfileCMS
 	out := core.Process(sys, ccfg)
 	switch out.Status {
 	case core.SolvedUNSAT:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -111,14 +112,14 @@ func TestProcessCancellation(t *testing.T) {
 	}
 }
 
-// TestRunElimLinMidRoundCancellation cancels between GJE–substitute
-// rounds: the run must stop at the next round boundary and return the
-// facts learnt so far (sound partial output).
+// TestRunElimLinMidRoundCancellation cancels inside the first
+// GJE–substitute round: the run must stop before the next round and
+// return the facts learnt so far (sound partial output).
 func TestRunElimLinMidRoundCancellation(t *testing.T) {
 	sys := hardSystem(t)
 	rng := rand.New(rand.NewSource(3))
 	full := RunElimLin(sys, ElimLinConfig{M: 20, Rand: rand.New(rand.NewSource(3))})
-	ctx := newPollCtx(2) // first poll passes (round 0 runs), second cancels
+	ctx := newPollCtx(2) // first poll passes (round 0's GJE runs), second cancels its substitutions
 	partial := RunElimLin(sys, ElimLinConfig{M: 20, Context: ctx, Rand: rng})
 	if len(partial) > len(full) {
 		t.Fatalf("partial run learnt %d facts, full run %d", len(partial), len(full))
@@ -132,6 +133,49 @@ func TestRunElimLinMidRoundCancellation(t *testing.T) {
 	for i, p := range partial {
 		if i >= len(full) || !p.Equal(full[i]) {
 			t.Fatalf("partial fact %d is not a prefix of the full run", i)
+		}
+	}
+}
+
+// TestElimLinPollsBeforeEachSubstitution checks that step (3) of a round
+// polls the context before each linear equation and, once it is done,
+// substitutes no further equation: a witness-tracked substitution can
+// take long enough to overrun a job's deadline.
+func TestElimLinPollsBeforeEachSubstitution(t *testing.T) {
+	linear := []anf.Poly{
+		anf.MustParsePoly("x1 + x2"),
+		anf.MustParsePoly("x3 + x4"),
+		anf.MustParsePoly("x5 + x6"),
+	}
+	rest := func() []anf.Poly {
+		return []anf.Poly{
+			anf.MustParsePoly("x1*x3 + x2*x5 + x4*x6"),
+			anf.MustParsePoly("x1*x4 + x2*x6 + x3*x5 + x7"),
+			anf.MustParsePoly("x1*x5 + x2*x3*x6 + x4 + x8"),
+		}
+	}
+	run := func(ctx context.Context) []int {
+		var x occIndex
+		var seen []int
+		x.eliminate(ctx, linear, rest(), func(li, i int, v anf.Var) {
+			if len(seen) == 0 || seen[len(seen)-1] != li {
+				seen = append(seen, li)
+			}
+		})
+		return seen
+	}
+	if got := run(nil); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("uncanceled: linear equations %v substituted, want [0 1 2]", got)
+	}
+	for trigger := int64(1); trigger <= 4; trigger++ {
+		ctx := newPollCtx(trigger)
+		got := run(ctx)
+		want := []int{0, 1, 2}[:min(trigger-1, 3)]
+		if !slices.Equal(got, want) {
+			t.Errorf("canceled at poll %d: linear equations %v substituted, want %v", trigger, got, want)
+		}
+		if polls := ctx.polls.Load(); polls != min(trigger, 3) {
+			t.Errorf("canceled at poll %d: %d polls, want %d", trigger, polls, min(trigger, 3))
 		}
 	}
 }

@@ -15,8 +15,9 @@ type ElimLinConfig struct {
 	// algorithm terminates when no linear equations remain).
 	MaxRounds int
 	// Context, when non-nil, cancels the run: RunElimLin polls it at every
-	// GJE–substitute round boundary and returns the facts learnt so far.
-	// A nil Context never cancels.
+	// GJE–substitute round boundary and before each substitution of a
+	// round, and returns the facts learnt so far. A nil Context never
+	// cancels.
 	Context context.Context
 	// Rand drives the subsampling.
 	Rand *rand.Rand
@@ -105,7 +106,7 @@ func runElimLin(sys *anf.System, cfg ElimLinConfig, w *witnessLog) []anf.Poly {
 				restWits[i] = canonSlotTerms(scaleSlotTerms(restWits[i], linWits[li], a))
 			}
 		}
-		if contra := idx.eliminate(linear, rest, visit); contra >= 0 {
+		if contra := idx.eliminate(cfg.Context, linear, rest, visit); contra >= 0 {
 			// Contradiction: surface it as a learnt fact and stop.
 			if track {
 				w.record(linWits[contra], "gje contradiction")
@@ -138,9 +139,15 @@ type occIndex struct {
 // visit, when non-nil, sees each (linear index, equation index, v) just
 // before that equation is rewritten. eliminate returns the index of the
 // first linear equation that is the contradiction 1, stopping there, or -1.
-func (x *occIndex) eliminate(linear, rest []anf.Poly, visit func(li, i int, v anf.Var)) int {
+// It polls ctx before each linear equation and stops, returning -1, once
+// ctx is done: a tracked substitution can be long, so waiting for the
+// round to end could overrun a deadline by far.
+func (x *occIndex) eliminate(ctx context.Context, linear, rest []anf.Poly, visit func(li, i int, v anf.Var)) int {
 	x.build(rest)
 	for li, l := range linear {
+		if ctxCanceled(ctx) {
+			return -1
+		}
 		if l.IsOne() {
 			return li
 		}

@@ -80,9 +80,9 @@ type Config struct {
 	// harvests, so seed-equivalence golden runs keep it disabled.
 	Route bool
 	// NoNativeXor turns off the SAT solver's native parity-clause kind and
-	// falls back to the pre-PR-10 CNF cut / Gauss-only routing — the
-	// differential baseline (`bosphorus -native-xor=false`). Native parity
-	// is on by default.
+	// falls back to the CNF cut / Gauss-only routing: the differential
+	// baseline that tests and benchmarks compare native parity against.
+	// Native parity is on by default.
 	NoNativeXor bool
 	// EnableProbing adds failed-literal probing (a lookahead-style
 	// component, also named in §V) to the SAT step.

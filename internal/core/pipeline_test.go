@@ -159,7 +159,7 @@ func TestPickElimVarMatchesRescan(t *testing.T) {
 	// x1·x2 ⊕ x1·x3 into x1·x2 ⊕ x1·x2 = 0, so equation 0 loses x1, x2 and x3.
 	rest := []anf.Poly{anf.MustParsePoly("x1*x2 + x1*x3"), anf.MustParsePoly("x2*x4 + x5*x6")}
 	var x occIndex
-	if x.eliminate([]anf.Poly{anf.MustParsePoly("x2 + x3")}, rest, nil) >= 0 {
+	if x.eliminate(nil, []anf.Poly{anf.MustParsePoly("x2 + x3")}, rest, nil) >= 0 {
 		t.Fatal("no contradiction to report")
 	}
 	if !rest[0].IsZero() || x.count(1) != 0 || x.count(2) != 1 || x.count(3) != 0 {
@@ -199,7 +199,7 @@ func TestPickElimVarMatchesRescan(t *testing.T) {
 		}
 		var x occIndex
 		picked := -1
-		x.eliminate(linear, rest, func(li, i int, v anf.Var) {
+		x.eliminate(nil, linear, rest, func(li, i int, v anf.Var) {
 			if li == picked {
 				return
 			}
@@ -243,7 +243,7 @@ func BenchmarkElimLinIndex(b *testing.B) {
 		for k, p := range rest {
 			work[k] = anf.FromSortedMonomials(p.Terms()) // in-place rewrites need owned copies
 		}
-		x.eliminate(linear, work, nil)
+		x.eliminate(nil, linear, work, nil)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/anf"
 	"repro/internal/proof"
 )
@@ -9,20 +11,85 @@ import (
 // monomial-plus-one polynomials, equivalence assignments from x ⊕ y and
 // x ⊕ y ⊕ 1, applied through the master system's occurrence lists until a
 // fixed point.
+//
+// The occurrence lists are the paper's §III-B index: a new binding of v
+// revisits only the slots on v's list. The Propagator makes every write to
+// the master system (add and replace below), so it keeps the lists
+// itself. A slot joins v's list when it first holds v and is never
+// removed, so a list may name slots that no longer contain v; the lists
+// keep the order slots joined them, which fixes the propagation queue.
 type Propagator struct {
 	Sys   *anf.System
 	State *VarState
 	// Contradiction is set when 1 = 0 is derived; the system is UNSAT.
 	Contradiction bool
+	// occ[v] lists the slots of Sys that have held v, in the order they
+	// first did.
+	occ map[anf.Var][]int32
 	// prov, when non-nil, records the provenance of every binding and
 	// rewrite into a ledger. All prov hooks are behind nil checks so the
 	// tracking-off path is unchanged.
 	prov *provTracker
 }
 
-// NewPropagator wraps a system with fresh state.
+// NewPropagator wraps a system with fresh state and indexes its slots.
 func NewPropagator(sys *anf.System) *Propagator {
-	return &Propagator{Sys: sys, State: NewVarState(sys.NumVars())}
+	p := &Propagator{
+		Sys:   sys,
+		State: NewVarState(sys.NumVars()),
+		occ:   make(map[anf.Var][]int32, sys.RawLen()),
+	}
+	for i := 0; i < sys.RawLen(); i++ {
+		p.index(i, sys.At(i), true)
+	}
+	return p
+}
+
+// index puts slot i on the list of every variable of q it is not on yet.
+// A fresh slot — the newest, or any during the first scan — can only be
+// on the lists q's earlier terms put it on, as their last entry; a
+// replaced one may be anywhere on a list.
+func (p *Propagator) index(i int, q anf.Poly, fresh bool) {
+	s := int32(i)
+	for _, t := range q.Terms() {
+		for _, v := range t.Vars() {
+			l := p.occ[v]
+			var listed bool
+			if fresh {
+				listed = len(l) > 0 && l[len(l)-1] == s
+			} else {
+				listed = slices.Contains(l, s)
+			}
+			if !listed {
+				p.occ[v] = append(l, s)
+			}
+		}
+	}
+}
+
+// add appends q as a new slot of the master system and indexes it.
+func (p *Propagator) add(q anf.Poly) {
+	if p.Sys.Add(q) {
+		p.index(p.Sys.RawLen()-1, q, true)
+	}
+}
+
+// replace overwrites slot i with q and puts i on the lists of q's
+// variables it is not on yet.
+func (p *Propagator) replace(i int, q anf.Poly) {
+	p.Sys.Replace(i, q)
+	p.index(i, q, false)
+}
+
+// contains reports whether a slot holds q, which is neither 0 nor 1. Any
+// slot holding q is on the list of each of q's variables.
+func (p *Propagator) contains(q anf.Poly) bool {
+	for _, i := range p.occ[q.Lead().Vars()[0]] {
+		if p.Sys.At(int(i)).Equal(q) {
+			return true
+		}
+	}
+	return false
 }
 
 // Propagate runs to fixed point over the whole system. It returns the
@@ -52,8 +119,8 @@ func (p *Propagator) Propagate() (int, bool) {
 		}
 		facts += n
 		for _, v := range affected {
-			for _, j := range p.Sys.Occurrences(v) {
-				push(j)
+			for _, j := range p.occ[v] {
+				push(int(j))
 			}
 		}
 	}
@@ -77,7 +144,7 @@ func (p *Propagator) step(i int) (int, []anf.Var, bool) {
 		q = p.State.NormalizePoly(q)
 	}
 	if q.IsZero() {
-		p.Sys.Replace(i, anf.Zero())
+		p.replace(i, anf.Zero())
 		if p.prov != nil {
 			p.prov.slotRec[i] = -1
 		}
@@ -94,7 +161,7 @@ func (p *Propagator) step(i int) (int, []anf.Var, bool) {
 		return 0, nil, false
 	}
 	zeroSlot := func() {
-		p.Sys.Replace(i, anf.Zero())
+		p.replace(i, anf.Zero())
 		if p.prov != nil {
 			p.prov.slotRec[i] = -1
 		}
@@ -170,7 +237,7 @@ func (p *Propagator) step(i int) (int, []anf.Var, bool) {
 		}
 		zeroSlot()
 	default:
-		p.Sys.Replace(i, q)
+		p.replace(i, q)
 	}
 	return facts, affected, true
 }
@@ -210,14 +277,14 @@ func (p *Propagator) addFact(f anf.Poly, base []proof.Term, note string) bool {
 	}
 	if q.IsOne() {
 		p.Contradiction = true
-		p.Sys.Add(q)
+		p.add(q)
 		record()
 		return true
 	}
-	if p.Sys.Contains(q) {
+	if p.contains(q) {
 		return false
 	}
-	p.Sys.Add(q)
+	p.add(q)
 	record()
 	return true
 }

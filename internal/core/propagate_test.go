@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,5 +254,148 @@ func TestAddFactDedup(t *testing.T) {
 	}
 	if !p.AddFact(anf.MustParsePoly("x0 + x2")) {
 		t.Fatal("new fact not added")
+	}
+}
+
+// refIndex replays the occurrence-list rules over a Propagator's writes:
+// a new slot goes on the list of each of its variables, a replaced slot
+// goes on the lists of its new variables it is not on yet, and nothing
+// is removed.
+type refIndex map[anf.Var][]int32
+
+func (r refIndex) add(i int, q anf.Poly) {
+	for _, v := range q.Vars() {
+		r[v] = append(r[v], int32(i))
+	}
+}
+
+func (r refIndex) replace(i int, q anf.Poly) {
+	for _, v := range q.Vars() {
+		if !slices.Contains(r[v], int32(i)) {
+			r[v] = append(r[v], int32(i))
+		}
+	}
+}
+
+// refPropagate is Propagate with its queue driven by r, which it keeps
+// current: step writes at most slot i, and leaves it holding what it
+// wrote.
+func refPropagate(p *Propagator, r refIndex) bool {
+	var queue []int
+	inQueue := make([]bool, p.Sys.RawLen())
+	push := func(i int) {
+		if i < len(inQueue) && !inQueue[i] {
+			inQueue[i] = true
+			queue = append(queue, i)
+		}
+	}
+	for i := 0; i < p.Sys.RawLen(); i++ {
+		push(i)
+	}
+	for len(queue) > 0 {
+		i := queue[0]
+		queue = queue[1:]
+		inQueue[i] = false
+		_, affected, ok := p.step(i)
+		r.replace(i, p.Sys.At(i))
+		if !ok {
+			p.Contradiction = true
+			return false
+		}
+		for _, v := range affected {
+			for _, j := range r[v] {
+				push(int(j))
+			}
+		}
+	}
+	return true
+}
+
+// TestOccurrenceListsMatchReference drives random systems through
+// NewPropagator, AddFact and Propagate, and beside each run a twin whose
+// propagation queue follows refIndex. After every step the Propagator's
+// own lists must equal the reference's, entry for entry and in order, and
+// both runs must hold the same slots.
+func TestOccurrenceListsMatchReference(t *testing.T) {
+	// The paper's example (§III-B): a binding of x1 revisits slots 0-2
+	// only, one of x5 slots 2-4.
+	paper := NewPropagator(sysFrom(t, paperExample))
+	if got := paper.occ[1]; !slices.Equal(got, []int32{0, 1, 2}) {
+		t.Fatalf("x1 is on slots %v, want [0 1 2]", got)
+	}
+	if got := paper.occ[5]; !slices.Equal(got, []int32{2, 3, 4}) {
+		t.Fatalf("x5 is on slots %v, want [2 3 4]", got)
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	const nvars = 8
+	randPoly := func(maxTerms, maxDeg int) anf.Poly {
+		var ms []anf.Monomial
+		for k := 1 + rng.Intn(maxTerms); k > 0; k-- {
+			var vs []anf.Var
+			for d := rng.Intn(maxDeg + 1); d > 0; d-- {
+				vs = append(vs, anf.Var(rng.Intn(nvars)))
+			}
+			ms = append(ms, anf.NewMonomial(vs...))
+		}
+		return anf.FromMonomials(ms...)
+	}
+	randFact := func() anf.Poly {
+		x, y := anf.VarPoly(anf.Var(rng.Intn(nvars))), anf.VarPoly(anf.Var(rng.Intn(nvars)))
+		switch rng.Intn(4) {
+		case 0:
+			return x.AddConstant(rng.Intn(2) == 1)
+		case 1:
+			return x.Add(y).AddConstant(rng.Intn(2) == 1)
+		case 2:
+			return x.Mul(y).AddConstant(true)
+		}
+		return randPoly(3, 2)
+	}
+	sameState := func(trial int, what string, got, ref *Propagator, r refIndex) {
+		t.Helper()
+		if !maps.EqualFunc(got.occ, map[anf.Var][]int32(r), slices.Equal[[]int32]) {
+			t.Fatalf("trial %d, %s: occurrence lists\n%v\nreference\n%v", trial, what, got.occ, r)
+		}
+		if got.Sys.RawLen() != ref.Sys.RawLen() {
+			t.Fatalf("trial %d, %s: %d slots, reference %d", trial, what, got.Sys.RawLen(), ref.Sys.RawLen())
+		}
+		for i := 0; i < got.Sys.RawLen(); i++ {
+			if !got.Sys.At(i).Equal(ref.Sys.At(i)) {
+				t.Fatalf("trial %d, %s: slot %d = %s, reference %s", trial, what, i, got.Sys.At(i), ref.Sys.At(i))
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		sys := anf.NewSystem()
+		for k := 2 + rng.Intn(8); k > 0; k-- {
+			sys.Add(randPoly(4, 3))
+		}
+		got, ref := NewPropagator(sys.Clone()), NewPropagator(sys.Clone())
+		r := refIndex{}
+		for i := 0; i < ref.Sys.RawLen(); i++ {
+			r.add(i, ref.Sys.At(i))
+		}
+		sameState(trial, "built", got, ref, r)
+		for round := 0; round < 6; round++ {
+			_, ok := got.Propagate()
+			if refOK := refPropagate(ref, r); ok != refOK {
+				t.Fatalf("trial %d round %d: Propagate ok = %v, reference %v", trial, round, ok, refOK)
+			}
+			sameState(trial, fmt.Sprintf("round %d propagated", round), got, ref, r)
+			if !ok {
+				break
+			}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				f, n := randFact(), ref.Sys.RawLen()
+				if added, refAdded := got.AddFact(f), ref.AddFact(f); added != refAdded {
+					t.Fatalf("trial %d round %d: AddFact(%s) = %v, reference %v", trial, round, f, added, refAdded)
+				}
+				if ref.Sys.RawLen() > n {
+					r.add(n, ref.Sys.At(n))
+				}
+				sameState(trial, fmt.Sprintf("round %d fact %s", round, f), got, ref, r)
+			}
+		}
 	}
 }

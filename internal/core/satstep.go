@@ -52,11 +52,11 @@ type SATStepConfig struct {
 	// verdicts still carry a checkable certificate when CaptureProof is
 	// set; routed SAT models are verified before being trusted.
 	Route bool
-	// NoNativeXor disables the solver's native parity-clause kind (PR-10)
-	// and restores the pre-native routing: XOR pieces are clausally cut at
+	// NoNativeXor disables the solver's native parity-clause kind and
+	// restores the pre-native routing: XOR pieces are clausally cut at
 	// conversion (MiniSat/Lingeling profiles) or handed whole to the Gauss
-	// side-car (CMS profile). The differential baseline for the `parity`
-	// bench family and `bosphorus -native-xor=false`.
+	// side-car (CMS profile): the differential baseline that tests and
+	// benchmarks compare native parity against.
 	NoNativeXor bool
 	// CaptureProof attaches a DRAT writer to the solver and, when the step
 	// refutes the formula, returns the proof as a Certificate. Capture

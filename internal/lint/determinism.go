@@ -10,9 +10,11 @@ import (
 // provenance-tracked packages (internal/core, internal/proof), of the
 // cube-and-conquer layer (internal/cube, internal/share), of the routing
 // tier (internal/route, internal/walksat), whose single-worker runs must
-// reproduce from the seed alone, and of the ANF→CNF converter
+// reproduce from the seed alone, of the ANF→CNF converter
 // (internal/conv, internal/minimize), whose clause order steers every SAT
-// step's search and with it the learnt facts: a run is reproducible from
+// step's search and with it the learnt facts, and of the SAT solver
+// (internal/sat), whose search and equivalence harvest decide those facts
+// in the order they are returned: a run is reproducible from
 // Config.Seed alone, so nothing in those packages may consult a global
 // entropy source or let map iteration order decide the order facts are
 // learnt or recorded. Rules:
@@ -37,7 +39,7 @@ var DeterminismAnalyzer = &Analyzer{
 	Run:  runDeterminism,
 }
 
-var determinismTargets = []string{"internal/core", "internal/proof", "internal/cube", "internal/share", "internal/route", "internal/walksat", "internal/conv", "internal/minimize"}
+var determinismTargets = []string{"internal/core", "internal/proof", "internal/cube", "internal/share", "internal/route", "internal/walksat", "internal/conv", "internal/minimize", "internal/sat"}
 
 // newRNGScoped are the targets where RNG construction must go through
 // core.NewRNG rather than bare rand.New(rand.NewSource(...)).

@@ -89,8 +89,9 @@ type VerifyOptions struct {
 	// RefuteBudget is the conflict budget for each SAT entailment
 	// refutation (default 50000; -1 = unlimited).
 	RefuteBudget int64
-	// Context, when non-nil, cancels in-flight refutations cooperatively;
-	// remaining facts come back UNVERIFIED.
+	// Context, when non-nil, cancels verification: VerifyFacts polls it
+	// before each record and in-flight refutations poll it too. Once it
+	// is done, the remaining facts come back UNVERIFIED ("canceled").
 	Context context.Context
 	// Conv sets the ANF→CNF conversion for refutations (zero value =
 	// conv.DefaultOptions).
@@ -133,7 +134,11 @@ func VerifyFacts(original *anf.System, lg *Ledger, opts VerifyOptions) *VerifyRe
 			continue
 		}
 		fv := FactVerdict{ID: rec.ID, Technique: rec.Technique, Iteration: rec.Iteration}
-		fv.Verdict, fv.Detail = verifyOne(original, lg, rec, verified, rng, opts)
+		if opts.Context != nil && opts.Context.Err() != nil {
+			fv.Verdict, fv.Detail = VerdictUnverified, "canceled"
+		} else {
+			fv.Verdict, fv.Detail = verifyOne(original, lg, rec, verified, rng, opts)
+		}
 		if fv.Verdict.Verified() {
 			verified[i] = true
 			report.Verified++

@@ -107,9 +107,9 @@ func (g *Implications) SCC() *Components {
 // harvest is after (§II-D), generalized from complementary pairs to
 // arbitrary implication cycles.
 //
-// It returns one (root, member) pair per non-trivial equivalence, plus
-// ok=false when a variable is equivalent to its own negation (the formula
-// is unsatisfiable).
+// It returns one (root, member) pair per non-trivial equivalence, in
+// component id order, plus ok=false when a variable is equivalent to its
+// own negation (the formula is unsatisfiable).
 func BinaryEquivalences(f *cnf.Formula) ([][2]cnf.Lit, bool) {
 	g := NewImplications(f.NumVars)
 	for _, c := range f.Clauses {
@@ -121,21 +121,36 @@ func BinaryEquivalences(f *cnf.Formula) ([][2]cnf.Lit, bool) {
 	if _, bad := sccs.Contradiction(); bad {
 		return nil, false
 	}
-	// Group literals by component; emit (root, member) pairs with the
-	// smallest literal of each component as root.
+	// Group the literals by component with a counting pass, each group in
+	// ascending literal order, then emit (root, member) pairs component by
+	// component in id order, with the smallest literal of each component
+	// as root.
 	comp := sccs.Comp
-	byComp := map[int32][]cnf.Lit{}
-	for l := range comp {
-		byComp[comp[l]] = append(byComp[comp[l]], cnf.Lit(l))
+	end := make([]int32, sccs.N) // per component: its size, then its start, then its end
+	for _, c := range comp {
+		end[c]++
+	}
+	var sum int32
+	for c, n := range end {
+		end[c] = sum
+		sum += n
+	}
+	lits := make([]cnf.Lit, len(comp))
+	for l, c := range comp {
+		lits[end[c]] = cnf.Lit(l)
+		end[c]++
 	}
 	var out [][2]cnf.Lit
-	seen := map[cnf.Var]bool{}
-	for _, lits := range byComp {
-		if len(lits) < 2 {
+	seen := make([]bool, f.NumVars)
+	begin := int32(0)
+	for _, e := range end {
+		group := lits[begin:e]
+		begin = e
+		if len(group) < 2 {
 			continue
 		}
-		root := lits[0]
-		for _, l := range lits[1:] {
+		root := group[0]
+		for _, l := range group[1:] {
 			if l.Var() == root.Var() {
 				continue
 			}

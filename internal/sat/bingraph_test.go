@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -116,6 +117,69 @@ func TestQuickBinaryEquivalencesSound(t *testing.T) {
 			}
 		}
 		_ = hasModel
+	}
+}
+
+// BinaryEquivalences must return the same pairs on every call, component
+// by component in id order: each pair's root is the smallest literal of
+// its component, and a component's members follow in ascending order.
+func TestBinaryEquivalencesComponentOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	for trial := 0; trial < 40; trial++ {
+		nVars := 8 + rng.Intn(24)
+		f := cnf.NewFormula(nVars)
+		g := NewImplications(nVars)
+		add := func(a, b cnf.Lit) {
+			if a.Var() != b.Var() {
+				f.AddClause(a, b)
+				g.AddBinary(a, b)
+			}
+		}
+		// Implication cycles through a random permutation's runs make
+		// several equivalence classes; a few more implications join some
+		// of them. Every implication runs between the fixed literals lit
+		// picks, so setting them all true satisfies the formula.
+		lit := func(v int) cnf.Lit { return cnf.MkLit(cnf.Var(v), v%3 == trial%3) }
+		perm := rng.Perm(nVars)
+		for len(perm) > 1 {
+			n := min(len(perm), 2+rng.Intn(4))
+			for k := 0; k < n; k++ {
+				add(lit(perm[k]).Not(), lit(perm[(k+1)%n]))
+			}
+			perm = perm[n:]
+		}
+		for i := 0; i < nVars/8; i++ {
+			add(lit(rng.Intn(nVars)).Not(), lit(rng.Intn(nVars)))
+		}
+		eqs, ok := BinaryEquivalences(f)
+		if !ok {
+			t.Fatalf("trial %d: refuted a formula of implications between fixed literals", trial)
+		}
+		for call := 0; call < 5; call++ {
+			again, _ := BinaryEquivalences(f)
+			if !slices.Equal(again, eqs) {
+				t.Fatalf("trial %d: call %d returned %v, first call %v", trial, call, again, eqs)
+			}
+		}
+		sccs := g.SCC()
+		for k, eq := range eqs {
+			c := sccs.Of(eq[0])
+			if sccs.Of(eq[1]) != c {
+				t.Fatalf("trial %d: pair %v spans components %d and %d", trial, eq, c, sccs.Of(eq[1]))
+			}
+			for l := range sccs.Comp {
+				if sccs.Comp[l] == c && cnf.Lit(l) < eq[0] {
+					t.Fatalf("trial %d: root %v of pair %v is not its component's smallest literal %v", trial, eq[0], eq, cnf.Lit(l))
+				}
+			}
+			if k == 0 {
+				continue
+			}
+			prev := eqs[k-1]
+			if pc := sccs.Of(prev[0]); pc > c || pc == c && prev[1] >= eq[1] {
+				t.Fatalf("trial %d: pair %v (component %d) follows %v (component %d)", trial, eq, c, prev, pc)
+			}
+		}
 	}
 }
 

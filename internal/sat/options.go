@@ -79,8 +79,7 @@ type Options struct {
 	// Rows longer than DefaultNativeXorMaxLen still go to Gauss when it is
 	// enabled: long rows benefit from inter-reduction, short rows are
 	// cheaper in-watch. DefaultOptions turns this on for every profile;
-	// clear it (bosphorus -native-xor=false) for the differential CNF-cut
-	// baseline.
+	// tests and benchmarks clear it for the differential CNF-cut baseline.
 	NativeXor bool
 }
 

@@ -74,6 +74,7 @@ func (s *Solver) deadlineExpired() bool {
 	if s.interruptHook != nil && s.interruptHook() {
 		return true
 	}
+	//lint:ignore determinism SetDeadline is an explicitly opted-in wall-clock cutoff; reproducible runs bound the search with conflict budgets instead
 	return !s.deadline.IsZero() && time.Now().After(s.deadline)
 }
 

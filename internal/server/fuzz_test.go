@@ -60,7 +60,8 @@ func FuzzSolveHandler(f *testing.F) {
 		jb, parseErr := parseJob(req)
 		if parseErr == nil && (jb.sys != nil && jb.sys.NumVars() > 64 || jb.form != nil && jb.form.NumVars > 64) {
 			// Raw bytes can name a variable such as x10000000; the solve
-			// would then run over millions of variables until its deadline.
+			// would then build tables over millions of variables, seconds
+			// and gigabytes per input.
 			t.Skip("variable space too large for a quick solve")
 		}
 		code, first := serveSolve(t, s, req)
@@ -231,7 +232,6 @@ func fuzzRequest(data []byte) Request {
 	req.Verify = knobs&4 != 0
 	req.Proof = knobs&8 != 0
 	req.Route = knobs&16 != 0
-	req.NoNativeXor = knobs&32 != 0
 	if ctl&0x80 == 0 {
 		engine := req.Mode == "process" || req.Mode == "solve"
 		req.Verify = req.Verify && engine

@@ -52,11 +52,6 @@ type Request struct {
 	// tractable fragments (2SAT/Horn/XOR) to the polynomial solvers before
 	// CDCL. Engine modes only; the server's -route default ORs in.
 	Route bool `json:"route,omitempty"`
-	// NoNativeXor falls back to the CNF-cut/Gauss-only XOR handling instead
-	// of the solver's native parity clauses (the differential baseline).
-	// Folded into the result-cache key: the two routings may harvest
-	// different facts.
-	NoNativeXor bool `json:"no_native_xor,omitempty"`
 }
 
 // Verification is the fact re-derivation tally for verify=true jobs.
@@ -244,7 +239,6 @@ func (jb *job) run(base core.Config, metrics *Metrics) *Response {
 	}
 	cfg.Provenance = jb.req.Verify
 	cfg.Route = jb.req.Route
-	cfg.NoNativeXor = jb.req.NoNativeXor
 	res := core.Process(jb.sys, cfg)
 	if cfg.Route && res.RouteNs > 0 {
 		metrics.ObserveRoute(res.RoutedVia, res.RouteNs)

@@ -43,7 +43,7 @@ func (jb *job) cacheKey() string {
 		e.varint(x)
 	}
 	var flags uint64
-	for i, on := range []bool{req.Verify, req.Proof, req.Route, req.NoNativeXor} {
+	for i, on := range []bool{req.Verify, req.Proof, req.Route} {
 		if on {
 			flags |= 1 << i
 		}

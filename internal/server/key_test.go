@@ -147,9 +147,9 @@ func textKey(req Request) (string, bool) {
 		workers = 0
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "mode=%d|iters=%d|confl=%d|seed=%d|workers=%d|timeout=%d|verify=%t|cubes=%d|proof=%t|route=%t|nonativexor=%t|",
+	fmt.Fprintf(h, "mode=%d|iters=%d|confl=%d|seed=%d|workers=%d|timeout=%d|verify=%t|cubes=%d|proof=%t|route=%t|",
 		jb.kind, req.MaxIterations, req.ConflictBudget, req.Seed, workers, req.TimeoutMS, req.Verify,
-		req.MaxCubes, req.Proof, req.Route, req.NoNativeXor)
+		req.MaxCubes, req.Proof, req.Route)
 	h.Write([]byte(canon.String()))
 	return hex.EncodeToString(h.Sum(nil)), true
 }
@@ -193,7 +193,7 @@ func TestCacheKeyPartitionMatchesTextKey(t *testing.T) {
 		func(r *Request) { r.Mode = "cube"; r.Workers = 1 },
 		func(r *Request) { r.Mode = "cube"; r.Workers = 2; r.Proof = true },
 		func(r *Request) { r.Mode = "portfolio"; r.Workers = 2; r.TimeoutMS = 5000 },
-		func(r *Request) { r.Verify = true; r.Route = true; r.NoNativeXor = true },
+		func(r *Request) { r.Verify = true; r.Route = true },
 		func(r *Request) { r.MaxIterations = 2; r.ConflictBudget = 100; r.MaxCubes = 4 },
 	}
 	textToBin, binToText := map[string]string{}, map[string]string{}

@@ -233,11 +233,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Fold the server's routing and XOR-handling defaults into the request
-	// before parsing so the cache key reflects the effective flags, not
-	// just the client's.
+	// Fold the server's routing default into the request before parsing
+	// so the cache key reflects the effective flag, not just the client's.
 	req.Route = req.Route || s.cfg.Engine.Route
-	req.NoNativeXor = req.NoNativeXor || s.cfg.Engine.NoNativeXor
 	jb, err := parseJob(req)
 	if err != nil {
 		s.metrics.JobsFailed.Add(1)

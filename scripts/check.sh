@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full local gate: formatting, vet, build, race-enabled
-# tests, a proof round-trip smoke, short fuzz runs of the DRAT checker,
+# tests, the proof round-trip smokes (scripts/proofsmoke.sh), short fuzz
+# runs of the DRAT checker,
 # a one-iteration smoke pass over the perf-critical benchmarks, and the
 # end-to-end benchmark module's vet, tests and a one-second run. CI and
 # pre-commit runs should both go through `make check`, which calls this.
@@ -42,52 +43,14 @@ go test -race -count=1 ./internal/server
 echo "==> bosphorusd e2e smoke (start, solve, backpressure, drain)"
 go test -count=1 -run TestEndToEndSmoke ./cmd/bosphorusd
 
-echo "==> proof round-trip smoke (solve UNSAT with --proof, check, reject corrupted)"
+sh scripts/proofsmoke.sh
+
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
-go build -o "$workdir/bosphorus" ./cmd/bosphorus
-go build -o "$workdir/proofcheck" ./cmd/proofcheck
-"$workdir/bosphorus" -anf examples/instances/unsat_pair.anf -solve \
-	-no-xl -no-elimlin -verify-facts -proof "$workdir/p.drat" | grep -q "s UNSATISFIABLE"
-"$workdir/proofcheck" -cnf "$workdir/p.drat.cnf" "$workdir/p.drat" | grep -q "s VERIFIED"
-# A corrupted proof (bogus leading derivation) must be rejected nonzero.
-{ echo "999999 0"; cat "$workdir/p.drat"; } > "$workdir/bad.drat"
-if "$workdir/proofcheck" -cnf "$workdir/p.drat.cnf" "$workdir/bad.drat" >/dev/null 2>&1; then
-	echo "proofcheck accepted a corrupted proof" >&2
-	exit 1
-fi
-
-echo "==> parity proof round-trip smoke (native parity clauses, Gauss side-car, x-justified DRAT, reject corrupted)"
-# unsat_parity.anf converts to native XOR clauses; the refutation flows
-# through the solver's packed parity kind and the proof's derived clauses
-# carry GF(2)-rowspan ("x") justifications. The -native-xor=false run is
-# the differential baseline: same verdict through the CNF-cut path. With
-# -l 12 the instance's 9- and 10-variable rows stay whole and go to the
-# Gauss side-car, whose elimination refutes them before any conflict;
-# that proof must check too.
-"$workdir/bosphorus" -anf examples/instances/unsat_parity.anf -solve \
-	-no-xl -no-elimlin -proof "$workdir/parity.drat" | grep -q "s UNSATISFIABLE"
-"$workdir/proofcheck" -cnf "$workdir/parity.drat.cnf" "$workdir/parity.drat" | grep -q "s VERIFIED"
-"$workdir/bosphorus" -anf examples/instances/unsat_parity.anf -solve \
-	-no-xl -no-elimlin -native-xor=false | grep -q "s UNSATISFIABLE"
-{ echo "999999 0"; cat "$workdir/parity.drat"; } > "$workdir/parity-bad.drat"
-if "$workdir/proofcheck" -cnf "$workdir/parity.drat.cnf" "$workdir/parity-bad.drat" >/dev/null 2>&1; then
-	echo "proofcheck accepted a corrupted parity proof" >&2
-	exit 1
-fi
-"$workdir/bosphorus" -anf examples/instances/unsat_parity.anf -solve \
-	-no-xl -no-elimlin -l 12 -v -proof "$workdir/gauss.drat" > "$workdir/gauss.log" 2>&1
-grep -q "s UNSATISFIABLE" "$workdir/gauss.log"
-grep -q "SAT step (UNSAT, 0 conflicts)" "$workdir/gauss.log"
-"$workdir/proofcheck" -cnf "$workdir/gauss.drat.cnf" "$workdir/gauss.drat" | grep -q "s VERIFIED"
-{ echo "999999 0"; cat "$workdir/gauss.drat"; } > "$workdir/gauss-bad.drat"
-if "$workdir/proofcheck" -cnf "$workdir/gauss.drat.cnf" "$workdir/gauss-bad.drat" >/dev/null 2>&1; then
-	echo "proofcheck accepted a corrupted Gauss proof" >&2
-	exit 1
-fi
 
 echo "==> multi-node smoke (coordinator + two worker nodes, proofcheck on the stitched proof)"
 BOSPHORUSD_SMOKE_DIR="$workdir" go test -count=1 -run TestMultiNodeSmoke ./cmd/bosphorusd
+go build -o "$workdir/proofcheck" ./cmd/proofcheck
 "$workdir/proofcheck" -cnf "$workdir/smoke.cnf" "$workdir/smoke.drat" | grep -q "s VERIFIED"
 
 echo "==> proof checker fuzz (a few seconds each)"
