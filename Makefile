@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench check perf smoke lint proofsmoke
+.PHONY: build test race bench check perf smoke lint proofsmoke fuzzsmoke
 
 build:
 	$(GO) build ./...
@@ -25,15 +25,18 @@ smoke:
 
 # bench runs the perf-critical benchmarks (linearization, elimination
 # kernel, ElimLin and its occurrence index, the whole loop at one and four
-# learners at once, CDCL propagation/conflict families) with allocation
-# stats.
+# learners at once), the kernel table that -perf snapshots (one
+# sub-benchmark per family/job/arm: XL, ElimLin, M4R, the CDCL, cube,
+# fragment and parity families) and the CDCL model-enumeration benchmark,
+# with allocation stats.
 bench:
 	$(GO) test -run '^$$' -bench 'XL|RREF|ElimLin|ProcessWorkers' -benchmem \
 		./internal/anf ./internal/core ./internal/gf2
-	$(GO) test -run '^$$' -bench 'BenchmarkCDCL' -benchmem ./internal/sat
+	$(GO) test -run '^$$' -bench 'Kernels' -benchmem ./internal/bench
+	$(GO) test -run '^$$' -bench 'CDCLEnumerate' -benchmem ./internal/sat
 
 # check is the full local gate: gofmt + vet + build + race tests + proof
-# round-trip smoke + checker fuzz + bench smoke.
+# round-trip smoke + fuzz smoke + bench smoke.
 check:
 	sh scripts/check.sh
 
@@ -44,10 +47,16 @@ check:
 proofsmoke:
 	sh scripts/proofsmoke.sh
 
-# perf writes a machine-readable kernel + CDCL + cube + fragment + parity
-# timing snapshot to BENCH_local.json, which git ignores. The BENCH_pr*.json
-# files are frozen snapshots that scripts/check.sh compares; never
-# overwrite them. Compare a fresh snapshot with the latest frozen one:
+# fuzzsmoke fuzzes every fuzz target for three seconds (scripts/fuzzsmoke.sh,
+# which check.sh and CI run too).
+fuzzsmoke:
+	sh scripts/fuzzsmoke.sh
+
+# perf writes a machine-readable snapshot of the kernel table (one record
+# of ns/allocs/bytes per family/job/arm) to BENCH_local.json, which git
+# ignores. The BENCH_pr*.json files are frozen snapshots that -compare
+# still reads; never overwrite them. Compare a fresh snapshot with the
+# latest frozen one:
 # `go run ./cmd/benchtab -compare BENCH_pr10.json BENCH_local.json`.
 # The end-to-end benchmark is perfbench/run.sh (see perfbench/README.md).
 perf: build

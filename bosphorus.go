@@ -161,7 +161,7 @@ func (o Options) toCore(stopOnSolution bool) core.Config {
 	if o.XLDeg > 0 {
 		cfg.XLDeg = o.XLDeg
 	}
-	cfg.Conv = conv.Options{CutLen: 5, KarnaughK: 8, ClauseCutLen: 5}
+	cfg.Conv = conv.DefaultOptions()
 	if o.CutLen > 0 {
 		cfg.Conv.CutLen = o.CutLen
 	}
@@ -301,7 +301,7 @@ func wrap(res *core.Result, o Options) *Result {
 		out.Status = UNSAT
 	}
 	out.ANF = res.OutputANF()
-	convOpts := conv.Options{CutLen: 5, KarnaughK: 8, ClauseCutLen: 5}
+	convOpts := conv.DefaultOptions()
 	if o.CutLen > 0 {
 		convOpts.CutLen = o.CutLen
 	}
@@ -328,7 +328,7 @@ func Preprocess(sys *System, o Options) *Result {
 // product of negated literals), processed, and the learnt facts are
 // returned both ways.
 func PreprocessCNF(f *Formula, o Options) *Result {
-	convOpts := conv.Options{CutLen: 5, KarnaughK: 8, ClauseCutLen: 5}
+	convOpts := conv.DefaultOptions()
 	if o.ClauseCutLen > 0 {
 		convOpts.ClauseCutLen = o.ClauseCutLen
 	}
@@ -338,7 +338,7 @@ func PreprocessCNF(f *Formula, o Options) *Result {
 
 // SolveCNF decides a CNF formula through the bridge.
 func SolveCNF(f *Formula, o Options) *Result {
-	convOpts := conv.Options{CutLen: 5, KarnaughK: 8, ClauseCutLen: 5}
+	convOpts := conv.DefaultOptions()
 	if o.ClauseCutLen > 0 {
 		convOpts.ClauseCutLen = o.ClauseCutLen
 	}

@@ -21,18 +21,13 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/anf"
 	"repro/internal/bench"
-	"repro/internal/ciphers/sr"
-	"repro/internal/cnf"
 	"repro/internal/conv"
 	"repro/internal/core"
-	"repro/internal/gf2"
-	"repro/internal/route"
-	"repro/internal/sat"
-	"repro/internal/satgen"
 )
 
 func main() {
@@ -53,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 1, "random seed")
 		hard    = fs.Bool("hard", false, "also evaluate the SAT-2017 hard subset (Table II's second block)")
 		cactus  = fs.String("cactus", "", "with -table 2: also write a cactus-plot CSV (w vs w/o per solver) to this file")
-		perf    = fs.String("perf", "", "write a JSON snapshot of the linearization/elimination kernel timings to this file and exit")
+		perf    = fs.String("perf", "", "write a JSON snapshot of the kernel table timings (bench.KernelFamilies) to this file and exit")
 		quick   = fs.Bool("quick", false, "with -perf: tiny sizes and few rounds (CI smoke, numbers not comparable)")
 		compare = fs.Bool("compare", false, "compare two perf snapshots: benchtab -compare old.json new.json")
 		gate    = fs.Float64("gate", 0.10, "with -compare: exit non-zero when any metric regresses by more than this fraction (negative disables)")
@@ -136,385 +131,159 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// perfMeasurement is one kernel timing plus the GOMAXPROCS in effect
-// while it ran. Every kernel runs on one goroutine; the "workers" field
-// of the frozen snapshots is ignored on read.
-type perfMeasurement struct {
-	Ns         int64 `json:"ns"`
-	GOMAXPROCS int   `json:"gomaxprocs"`
+// snapshot is the -perf file: the run's context and one record per
+// (family, job, arm) of the kernel table. The frozen BENCH_pr1–pr10 files
+// predate the records. Their "medians_ns" section holds "<name>_ns" keys.
+// Their "cdcl" section (since BENCH_pr5.json) holds CDCL records keyed by
+// name, and metrics folds both into the records' keys. Their per-family
+// sections repeat medians_ns and are not read.
+type snapshot struct {
+	Date       string              `json:"date"`
+	GOOS       string              `json:"goos"`
+	GOARCH     string              `json:"goarch"`
+	GOMAXPROCS int                 `json:"gomaxprocs"`
+	Seed       int64               `json:"seed"`
+	Quick      bool                `json:"quick,omitempty"`
+	Records    []bench.Measurement `json:"records"`
+
+	Medians map[string]int64             `json:"medians_ns,omitempty"`
+	CDCL    map[string]bench.Measurement `json:"cdcl,omitempty"`
 }
 
-// perfBlob is the snapshot schema. "medians_ns" is kept for compatibility
-// with the frozen baselines (BENCH_pr1.json has only that section;
-// BENCH_pr5.json adds "cdcl") so -compare works uniformly across
-// generations; "measurements" carries the same timings with per-entry
-// context.
-type perfBlob struct {
-	Date         string                           `json:"date"`
-	GOOS         string                           `json:"goos"`
-	GOARCH       string                           `json:"goarch"`
-	GOMAXPROCS   int                              `json:"gomaxprocs"`
-	Seed         int64                            `json:"seed"`
-	Quick        bool                             `json:"quick,omitempty"`
-	Medians      map[string]int64                 `json:"medians_ns"`
-	Measurements map[string]perfMeasurement       `json:"measurements,omitempty"`
-	CDCL         map[string]bench.CDCLMeasurement `json:"cdcl,omitempty"`
-	// Cube is the cube-and-conquer scaling family (since BENCH_pr7.json):
-	// direct vs 1/2/4-worker cube wall-clock medians per hard instance.
-	Cube map[string]bench.CubeScalingMeasurement `json:"cube,omitempty"`
-	// Fragment is the tractable-fragment routing family (since
-	// BENCH_pr8.json): routed (classifier + polynomial solver) vs full
-	// CDCL ns/op per instance, with the speedup ratio.
-	Fragment map[string]bench.FragmentMeasurement `json:"fragment,omitempty"`
-	// Parity is the native-parity family (since BENCH_pr10.json): the
-	// packed parity clause kind vs the 2^(k-1) clausal cut, ns/op per
-	// instance, with the cut/native speedup ratio.
-	Parity map[string]bench.ParityMeasurement `json:"parity,omitempty"`
+// metrics flattens a snapshot into one map from metric name to value:
+// "<name>_ns", "<name>_allocs" and "<name>_bytes" per record.
+func (s *snapshot) metrics() map[string]int64 {
+	out := make(map[string]int64, 3*(len(s.Records)+len(s.CDCL))+len(s.Medians))
+	add := func(name string, m bench.Measurement) {
+		out[name+"_ns"] = m.NsPerOp
+		out[name+"_allocs"] = m.AllocsPerOp
+		out[name+"_bytes"] = m.BytesPerOp
+	}
+	for _, m := range s.Records {
+		add(m.Name, m)
+	}
+	for name, m := range s.CDCL {
+		add(name, m)
+	}
+	for k, v := range s.Medians {
+		out[k] = v
+	}
+	return out
 }
 
-// perfSnapshot times the hot kernels this reproduction optimizes — the XL
-// linearization pass, the ElimLin rounds loop, the M4R elimination, and
-// (since PR 5) the CDCL solver's propagation-heavy and
-// conflict-analysis-heavy benchmark families — and writes the medians
-// as JSON, so successive PRs can diff like against like (see
-// BENCH_pr1.json, BENCH_pr5.json). The CDCL entries carry allocs/op and
-// bytes/op alongside ns/op: the arena clause store's target is both.
-//
-// The rref entries clone a pre-generated matrix outside the timed region.
-// Snapshots up to BENCH_pr5.json timed matrix *generation* (n² rand.Intn
-// calls, ~14 ms at n=1024) together with the elimination, burying the
-// kernel being tracked; those frozen numbers are therefore comparable to
-// each other but not to snapshots produced by this version (see
-// EXPERIMENTS.md for the decomposition).
-//
-// quick shrinks everything (tiny matrix, short CDCL chain, fewer rounds)
-// so CI can assert the harness runs end to end; quick numbers are marked
-// in the blob and are not comparable to full runs.
+// perfSnapshot times the kernel table (bench.KernelFamilies) and writes
+// the records as JSON, so successive changes can diff like against like. A
+// full snapshot takes the medians of five rounds of at least half a
+// second each; quick shrinks the jobs and the rounds so CI can assert the
+// harness runs end to end, and marks the file (its numbers are not
+// comparable with full runs). A verdict that contradicts its job's fails
+// the snapshot.
 func perfSnapshot(path string, seed int64, quick bool, stderr io.Writer) error {
-	runs, matN, cdclRounds := 5, 1024, 5
+	rounds, window := 5, 500*time.Millisecond
 	if quick {
-		runs, matN, cdclRounds = 2, 128, 1
+		rounds, window = 3, 10*time.Millisecond
 	}
-	median := func(f func()) int64 {
-		times := make([]int64, runs)
-		for i := range times {
-			t0 := time.Now()
-			f()
-			times[i] = time.Since(t0).Nanoseconds()
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return times[runs/2]
-	}
-	srSys := sr.GenerateInstance(sr.Params{N: 1, R: 2, C: 2, E: 4},
-		rand.New(rand.NewSource(7))).Sys
-	randMatrix := func(n int, src int64) *gf2.Matrix {
-		rng := rand.New(rand.NewSource(src))
-		m := gf2.NewMatrix(n, n)
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				if rng.Intn(2) == 1 {
-					m.Set(r, c, true)
-				}
-			}
-		}
-		return m
-	}
-	maxprocs := runtime.GOMAXPROCS(0)
-	base := randMatrix(matN, seed)
-	medianRREF := func() int64 {
-		times := make([]int64, runs)
-		for i := range times {
-			m := base.Clone()
-			t0 := time.Now()
-			m.RREFM4R()
-			times[i] = time.Since(t0).Nanoseconds()
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return times[runs/2]
-	}
-	measurements := map[string]perfMeasurement{
-		"xl_sr_ns": {Ns: median(func() {
-			core.RunXL(srSys, core.XLConfig{M: 20, DeltaM: 4, Deg: 1,
-				Rand: rand.New(rand.NewSource(seed))})
-		}), GOMAXPROCS: maxprocs},
-		"elimlin_sr_ns": {Ns: median(func() {
-			core.RunElimLin(srSys, core.ElimLinConfig{M: 20,
-				Rand: rand.New(rand.NewSource(seed))})
-		}), GOMAXPROCS: maxprocs},
-	}
-	// The key names the matrix size so a -quick snapshot (n=128) can never
-	// masquerade as a full one; at the default n=1024 the key matches the
-	// frozen baselines.
-	measurements[fmt.Sprintf("rref_m4r_%d_w1_ns", matN)] =
-		perfMeasurement{Ns: medianRREF(), GOMAXPROCS: maxprocs}
-	results := make(map[string]int64, len(measurements))
-	for k, m := range measurements {
-		results[k] = m.Ns
-	}
-	cdcl := map[string]bench.CDCLMeasurement{}
-	if quick {
-		for name, m := range bench.MeasureCDCL(quickCDCLJobs(), sat.ProfileMiniSat, cdclRounds) {
-			cdcl["cdcl_quick_"+name] = m
-		}
-	} else {
-		for fam, jobs := range map[string][]bench.CDCLJob{
-			"propagation": bench.CDCLPropagationJobs(),
-			"conflict":    bench.CDCLConflictJobs(),
-		} {
-			for name, m := range bench.MeasureCDCL(jobs, sat.ProfileMiniSat, cdclRounds) {
-				cdcl["cdcl_"+fam+"_"+name] = m
-			}
-		}
-	}
-	var cubeRes map[string]bench.CubeScalingMeasurement
-	if quick {
-		cubeRes = bench.MeasureCubeScaling(quickCubeJobs(), []int{1, 2}, 1)
-	} else {
-		cubeRes = bench.MeasureCubeScaling(bench.CubeScalingJobs(), []int{1, 2, 4}, cdclRounds)
-	}
-	cubeSec := make(map[string]bench.CubeScalingMeasurement, len(cubeRes))
-	for name, m := range cubeRes {
-		key := "cube_" + name
-		if quick {
-			key = "cube_quick_" + name
-		}
-		cubeSec[key] = m
-		// Flatten the wall-clocks into medians_ns so -compare lists them
-		// alongside the kernel timings once two snapshots carry them.
-		results[key+"_direct_ns"] = m.DirectNs
-		for w, ns := range m.CubeNs {
-			results[key+"_w"+w+"_ns"] = ns
-		}
-	}
-	fragJobs, fragPrefix := bench.FragmentJobs(), "fragment_"
-	if quick {
-		fragJobs, fragPrefix = quickFragmentJobs(), "fragment_quick_"
-	}
-	fragSec := make(map[string]bench.FragmentMeasurement, len(fragJobs))
-	for name, m := range bench.MeasureFragment(fragJobs, sat.ProfileCMS, cdclRounds) {
-		key := fragPrefix + name
-		fragSec[key] = m
-		// Flatten both columns into medians_ns so -compare gates them
-		// alongside the kernel timings.
-		results[key+"_routed_ns"] = m.RoutedNsPerOp
-		results[key+"_cdcl_ns"] = m.CDCLNsPerOp
-	}
-	parityJobs, parityPrefix := bench.ParityJobs(), "parity_"
-	if quick {
-		parityJobs, parityPrefix = quickParityJobs(), "parity_quick_"
-	}
-	paritySec := make(map[string]bench.ParityMeasurement, len(parityJobs))
-	for name, m := range bench.MeasureParity(parityJobs, sat.ProfileMiniSat, cdclRounds) {
-		key := parityPrefix + name
-		paritySec[key] = m
-		// Flatten both arms into medians_ns so -compare gates them
-		// alongside the kernel timings.
-		results[key+"_native_ns"] = m.NativeNsPerOp
-		results[key+"_cut_ns"] = m.CutNsPerOp
-	}
-	blob := perfBlob{
-		Date:         time.Now().UTC().Format(time.RFC3339),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		GOMAXPROCS:   maxprocs,
-		Seed:         seed,
-		Quick:        quick,
-		Medians:      results,
-		Measurements: measurements,
-		CDCL:         cdcl,
-		Cube:         cubeSec,
-		Fragment:     fragSec,
-		Parity:       paritySec,
-	}
-	data, err := json.MarshalIndent(blob, "", "  ")
+	recs, err := bench.Measure(bench.KernelFamilies(quick, seed), rounds, window)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeSnapshot(path, snapshot{
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Seed:       seed,
+		Quick:      quick,
+		Records:    recs,
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "perf snapshot written to %s\n", path)
 	return nil
 }
 
-// quickCDCLJobs is a miniature propagation job for -quick runs: the same
-// binary-implication chain shape as cdcl_propagation_chain-20000, cut to
-// 500 variables so the whole snapshot finishes in well under a second.
-func quickCDCLJobs() []bench.CDCLJob {
-	const n = 500
-	return []bench.CDCLJob{{
-		Name: "chain-500",
-		Want: satgen.StatusSat,
-		Build: func() *cnf.Formula {
-			f := cnf.NewFormula(n)
-			for i := 0; i < n-1; i++ {
-				f.AddClause(cnf.MkLit(cnf.Var(i), true), cnf.MkLit(cnf.Var(i+1), false))
-			}
-			f.AddClause(cnf.MkLit(0, false))
-			return f
-		},
-	}}
-}
-
-// quickCubeJobs is a miniature cube-scaling job for -quick runs: a small
-// pigeonhole instance that splits and refutes in milliseconds, asserting
-// the measurement path end to end without the multi-second hard set.
-func quickCubeJobs() []bench.CDCLJob {
-	return []bench.CDCLJob{{
-		Name: "php-5-4",
-		Want: satgen.StatusUnsat,
-		Build: func() *cnf.Formula {
-			return satgen.Pigeonhole(5, 4).Formula
-		},
-	}}
-}
-
-// quickFragmentJobs is a miniature routing family for -quick runs: one
-// tiny instance per pure fragment plus the mixed control, asserting the
-// routed and CDCL measurement paths end to end in milliseconds.
-func quickFragmentJobs() []bench.FragmentJob {
-	return []bench.FragmentJob{
-		{
-			Name: "2sat-gadget-k60",
-			Frag: route.Binary,
-			Build: func() *cnf.Formula {
-				return bench.Gadget2SAT(60)
-			},
-		},
-		{
-			Name: "horn-sparse-v20000-m2000",
-			Frag: route.Horn,
-			Build: func() *cnf.Formula {
-				return bench.HornSparse(20000, 2000, rand.New(rand.NewSource(7)))
-			},
-		},
-		{
-			Name: "xor-planted-v64-e60",
-			Frag: route.AffineXor,
-			Build: func() *cnf.Formula {
-				return bench.XorSystem(64, 60, 4, false, rand.New(rand.NewSource(82)))
-			},
-		},
+func writeSnapshot(path string, s snapshot) error {
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return err
 	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// quickParityJobs is a miniature parity family for -quick runs: one
-// short cascade asserting the native and cut measurement arms end to end
-// in milliseconds.
-func quickParityJobs() []bench.ParityJob {
-	return []bench.ParityJob{{
-		Name: "cascade-v200-w4-unsat",
-		Want: sat.Unsat,
-		Build: func() *cnf.Formula {
-			return bench.ParityCascade(200, 4, true, 5)
-		},
-	}}
+func loadSnapshot(path string) (*snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var s snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &s, nil
+}
+
+// gated reports whether -compare gates metric k: every timing, and the
+// allocs and bytes of the CDCL records. Those repeat run to run; the cube
+// arms with several workers vary theirs with scheduling, and the GF(2)
+// kernels with how often a GC empties their workspace pool, by more than
+// the default gate between two snapshots of one tree (see EXPERIMENTS.md),
+// so the other families' allocs and bytes are listed, not gated.
+func gated(k string) bool {
+	return strings.HasSuffix(k, "_ns") || strings.HasPrefix(k, "cdcl_")
 }
 
 // compareSnapshots loads two perf snapshots and prints a ratio table
-// (new/old) over every metric present in both: the medians_ns section and,
-// when both files have it, the CDCL ns/allocs/bytes triples. Metrics
-// present in only one file are listed but not gated. When gate ≥ 0, any
-// shared metric whose ratio exceeds 1+gate makes the comparison fail with
-// a non-zero exit, so `benchtab -compare old.json new.json` can guard CI.
+// (new/old) over every metric of either. Metrics present in only one
+// file are listed but not gated. When gate ≥ 0, any shared gated metric
+// whose ratio exceeds 1+gate makes the comparison fail with a non-zero
+// exit, so `benchtab -compare old.json new.json` can guard CI.
 func compareSnapshots(oldPath, newPath string, gate float64, w io.Writer) error {
-	load := func(path string) (*perfBlob, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var b perfBlob
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &b, nil
-	}
-	oldB, err := load(oldPath)
+	oldS, err := loadSnapshot(oldPath)
 	if err != nil {
 		return err
 	}
-	newB, err := load(newPath)
+	newS, err := loadSnapshot(newPath)
 	if err != nil {
 		return err
 	}
-	if oldB.Quick || newB.Quick {
+	if oldS.Quick || newS.Quick {
 		fmt.Fprintln(w, "note: at least one snapshot was taken with -quick; numbers are smoke-scale")
 	}
-
-	type row struct {
-		name     string
-		oldV     int64
-		newV     int64
-		both     bool
-		regress  bool
-		onlySide string // "old" or "new" when !both
+	oldM, newM := oldS.metrics(), newS.metrics()
+	var names []string
+	for k := range oldM {
+		names = append(names, k)
 	}
-	var rows []row
-	addMetric := func(name string, oldV, newV int64, oldOK, newOK bool) {
-		r := row{name: name, oldV: oldV, newV: newV, both: oldOK && newOK}
-		if !r.both {
-			if oldOK {
-				r.onlySide = "old"
-			} else {
-				r.onlySide = "new"
-			}
-		} else if gate >= 0 && oldV > 0 && float64(newV)/float64(oldV) > 1+gate {
-			r.regress = true
+	for k := range newM {
+		if _, ok := oldM[k]; !ok {
+			names = append(names, k)
 		}
-		rows = append(rows, r)
 	}
+	sort.Strings(names)
 
-	keys := map[string]bool{}
-	for k := range oldB.Medians {
-		keys[k] = true
-	}
-	for k := range newB.Medians {
-		keys[k] = true
-	}
-	for _, k := range sortedKeys(keys) {
-		ov, ook := oldB.Medians[k]
-		nv, nok := newB.Medians[k]
-		addMetric(k, ov, nv, ook, nok)
-	}
-	keys = map[string]bool{}
-	for k := range oldB.CDCL {
-		keys[k] = true
-	}
-	for k := range newB.CDCL {
-		keys[k] = true
-	}
-	for _, k := range sortedKeys(keys) {
-		om, ook := oldB.CDCL[k]
-		nm, nok := newB.CDCL[k]
-		addMetric(k+"/ns", om.NsPerOp, nm.NsPerOp, ook, nok)
-		addMetric(k+"/allocs", om.AllocsPerOp, nm.AllocsPerOp, ook, nok)
-		addMetric(k+"/bytes", om.BytesPerOp, nm.BytesPerOp, ook, nok)
-	}
-
-	fmt.Fprintf(w, "%-44s %14s %14s %8s\n", "metric", "old", "new", "ratio")
+	fmt.Fprintf(w, "%-48s %14s %14s %8s\n", "metric", "old", "new", "ratio")
 	failed := 0
-	for _, r := range rows {
+	for _, k := range names {
+		ov, ook := oldM[k]
+		nv, nok := newM[k]
 		switch {
-		case !r.both:
-			v := r.oldV
-			if r.onlySide == "new" {
-				v = r.newV
-			}
-			fmt.Fprintf(w, "%-44s %14s %14s %8s  (only in %s)\n",
-				r.name, sideVal(r.onlySide == "old", v), sideVal(r.onlySide == "new", v), "-", r.onlySide)
+		case !nok:
+			fmt.Fprintf(w, "%-48s %14d %14s %8s  (only in old)\n", k, ov, "-", "-")
+		case !ook:
+			fmt.Fprintf(w, "%-48s %14s %14d %8s  (only in new)\n", k, "-", nv, "-")
 		default:
 			ratio := "-"
-			if r.oldV > 0 {
-				ratio = fmt.Sprintf("%.3f", float64(r.newV)/float64(r.oldV))
-			} else if r.newV == 0 {
+			if ov > 0 {
+				ratio = fmt.Sprintf("%.3f", float64(nv)/float64(ov))
+			} else if nv == 0 {
 				ratio = "1.000"
 			}
 			mark := ""
-			if r.regress {
+			if gate >= 0 && gated(k) && ov > 0 && float64(nv)/float64(ov) > 1+gate {
 				mark = "  REGRESSION"
 				failed++
 			}
-			fmt.Fprintf(w, "%-44s %14d %14d %8s%s\n", r.name, r.oldV, r.newV, ratio, mark)
+			fmt.Fprintf(w, "%-48s %14d %14d %8s%s\n", k, ov, nv, ratio, mark)
 		}
 	}
 	if failed > 0 {
@@ -522,22 +291,6 @@ func compareSnapshots(oldPath, newPath string, gate float64, w io.Writer) error 
 			failed, gate*100, oldPath, newPath)
 	}
 	return nil
-}
-
-func sideVal(present bool, v int64) string {
-	if present {
-		return fmt.Sprintf("%d", v)
-	}
-	return "-"
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // tableI prints the worked XL example of Table I.

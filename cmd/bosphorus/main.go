@@ -145,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Profile = sat.ProfileMiniSat
 	case "lingeling":
 		cfg.Profile = sat.ProfileLingeling
-		cfg.Preprocess = true
 	case "cms":
 		cfg.Profile = sat.ProfileCMS
 	default:

@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		engine.Profile = sat.ProfileMiniSat
 	case "lingeling":
 		engine.Profile = sat.ProfileLingeling
-		engine.Preprocess = true
 	case "cms":
 		engine.Profile = sat.ProfileCMS
 	default:

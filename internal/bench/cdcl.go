@@ -17,23 +17,39 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
-	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
 	"repro/internal/satgen"
 )
 
-// CDCLJob is one deterministic solver-level benchmark instance.
-type CDCLJob struct {
-	Name string
-	// Want is the instance's known verdict; RunCDCLJob checks it.
-	Want satgen.Status
-	// Build constructs the formula (called outside the timed region).
-	Build func() *cnf.Formula
+// cnfJob is a job of the solver families: its input is a formula.
+func cnfJob(name string, want sat.Status, build func() *cnf.Formula) KernelJob {
+	return KernelJob{Name: name, Want: want, Build: func() any { return build() }}
 }
+
+func pigeonholeJob(pigeons, holes int) KernelJob {
+	return cnfJob(fmt.Sprintf("php-%d-%d", pigeons, holes), sat.Unsat, func() *cnf.Formula {
+		return satgen.Pigeonhole(pigeons, holes).Formula
+	})
+}
+
+// solve is one full solver construction, load and search of a job's
+// formula.
+func solve(in any, opts sat.Options) sat.Status {
+	s := sat.New(opts)
+	if !s.AddFormula(in.(*cnf.Formula)) {
+		return sat.Unsat
+	}
+	return s.Solve()
+}
+
+// cdclArms solve under the MiniSat profile.
+var cdclArms = []KernelArm{{Name: "solve", Run: func(in any) sat.Status {
+	return solve(in, sat.DefaultOptions(sat.ProfileMiniSat))
+}}}
 
 // ImplicationChain builds the pure-propagation instance: a chain
 // x0 → x1 → … → x_{n-1} closed by the unit x0, so one decision-free
@@ -48,118 +64,27 @@ func ImplicationChain(n int) *cnf.Formula {
 }
 
 // CDCLPropagationJobs returns the propagation-heavy family.
-func CDCLPropagationJobs() []CDCLJob {
-	return []CDCLJob{
-		{
-			Name: "chain-20000",
-			Want: satgen.StatusSat,
-			Build: func() *cnf.Formula {
-				return ImplicationChain(20000)
-			},
-		},
-		{
-			Name: "lfsr-sat-n16-s48",
-			Want: satgen.StatusSat,
-			Build: func() *cnf.Formula {
-				return satgen.LFSRReach(16, 48, false, rand.New(rand.NewSource(11))).Formula
-			},
-		},
-		{
-			Name: "parity-planted-v96-e80-w3",
-			Want: satgen.StatusSat,
-			Build: func() *cnf.Formula {
-				return satgen.ParityChain(96, 80, 3, true, rand.New(rand.NewSource(12))).Formula
-			},
-		},
+func CDCLPropagationJobs() []KernelJob {
+	return []KernelJob{
+		cnfJob("chain-20000", sat.Sat, func() *cnf.Formula { return ImplicationChain(20000) }),
+		cnfJob("lfsr-sat-n16-s48", sat.Sat, func() *cnf.Formula {
+			return satgen.LFSRReach(16, 48, false, rand.New(rand.NewSource(11))).Formula
+		}),
+		cnfJob("parity-planted-v96-e80-w3", sat.Sat, func() *cnf.Formula {
+			return satgen.ParityChain(96, 80, 3, true, rand.New(rand.NewSource(12))).Formula
+		}),
 	}
 }
 
 // CDCLConflictJobs returns the conflict-analysis-heavy family.
-func CDCLConflictJobs() []CDCLJob {
-	return []CDCLJob{
-		{
-			Name: "php-8-7",
-			Want: satgen.StatusUnsat,
-			Build: func() *cnf.Formula {
-				return satgen.Pigeonhole(8, 7).Formula
-			},
-		},
-		{
-			Name: "rand3sat-v170",
-			Want: satgen.StatusUnknown,
-			Build: func() *cnf.Formula {
-				return satgen.RandomKSAT(170, 3, 4.26, rand.New(rand.NewSource(13))).Formula
-			},
-		},
-		{
-			Name: "mutilated-chessboard-8",
-			Want: satgen.StatusUnsat,
-			Build: func() *cnf.Formula {
-				return satgen.MutilatedChessboard(8).Formula
-			},
-		},
+func CDCLConflictJobs() []KernelJob {
+	return []KernelJob{
+		pigeonholeJob(8, 7),
+		cnfJob("rand3sat-v170", sat.Sat, func() *cnf.Formula {
+			return satgen.RandomKSAT(170, 3, 4.26, rand.New(rand.NewSource(13))).Formula
+		}),
+		cnfJob("mutilated-chessboard-8", sat.Unsat, func() *cnf.Formula {
+			return satgen.MutilatedChessboard(8).Formula
+		}),
 	}
-}
-
-// RunCDCLJob solves one job once with the given profile and returns the
-// verdict and counter snapshot. It is the non-timed twin of MeasureCDCL,
-// used by the determinism/equivalence tests.
-func RunCDCLJob(job CDCLJob, profile sat.Profile) (sat.Status, sat.Stats) {
-	opts := sat.DefaultOptions(profile)
-	s := sat.New(opts)
-	if !s.AddFormula(job.Build()) {
-		return sat.Unsat, s.Snapshot()
-	}
-	st := s.Solve()
-	return st, s.Snapshot()
-}
-
-// CDCLMeasurement is one job's timing/allocation result.
-type CDCLMeasurement struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-}
-
-// MeasureCDCL benchmarks each job (formula built outside the timed loop,
-// one full solver construction + load + solve per iteration) `rounds`
-// times via testing.Benchmark and returns the per-job medians. The
-// medians-of-rounds shape matches the perf snapshots of earlier PRs
-// (BENCH_pr1.json) so the JSON artifacts diff cleanly.
-func MeasureCDCL(jobs []CDCLJob, profile sat.Profile, rounds int) map[string]CDCLMeasurement {
-	if rounds <= 0 {
-		rounds = 5
-	}
-	out := make(map[string]CDCLMeasurement, len(jobs))
-	for _, job := range jobs {
-		f := job.Build()
-		var ns, allocs, bytes []int64
-		for r := 0; r < rounds; r++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := sat.New(sat.DefaultOptions(profile))
-					if !s.AddFormula(f) {
-						continue
-					}
-					s.Solve()
-				}
-			})
-			ns = append(ns, res.NsPerOp())
-			allocs = append(allocs, res.AllocsPerOp())
-			bytes = append(bytes, res.AllocedBytesPerOp())
-		}
-		out[job.Name] = CDCLMeasurement{
-			NsPerOp:     median64(ns),
-			AllocsPerOp: median64(allocs),
-			BytesPerOp:  median64(bytes),
-		}
-	}
-	return out
-}
-
-func median64(xs []int64) int64 {
-	sorted := append([]int64(nil), xs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
 }

@@ -23,9 +23,7 @@ package bench
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/cube"
@@ -35,29 +33,15 @@ import (
 
 // CubeScalingJobs returns the cube-vs-direct family: hard instances
 // where lookahead splitting beats the monolithic search.
-func CubeScalingJobs() []CDCLJob {
-	return []CDCLJob{
-		{
-			Name: "php-9-8",
-			Want: satgen.StatusUnsat,
-			Build: func() *cnf.Formula {
-				return satgen.Pigeonhole(9, 8).Formula
-			},
-		},
-		{
-			Name: "rand3sat-v200-r4.1",
-			Want: satgen.StatusSat,
-			Build: func() *cnf.Formula {
-				return satgen.RandomKSAT(200, 3, 4.1, rand.New(rand.NewSource(5))).Formula
-			},
-		},
-		{
-			Name: "rand3sat-v210-r4.1",
-			Want: satgen.StatusSat,
-			Build: func() *cnf.Formula {
-				return satgen.RandomKSAT(210, 3, 4.1, rand.New(rand.NewSource(9))).Formula
-			},
-		},
+func CubeScalingJobs() []KernelJob {
+	return []KernelJob{
+		pigeonholeJob(9, 8),
+		cnfJob("rand3sat-v200-r4.1", sat.Sat, func() *cnf.Formula {
+			return satgen.RandomKSAT(200, 3, 4.1, rand.New(rand.NewSource(5))).Formula
+		}),
+		cnfJob("rand3sat-v210-r4.1", sat.Sat, func() *cnf.Formula {
+			return satgen.RandomKSAT(210, 3, 4.1, rand.New(rand.NewSource(9))).Formula
+		}),
 	}
 }
 
@@ -75,64 +59,16 @@ func CubeScalingOptions(workers int) cube.Options {
 	return opts
 }
 
-// CubeScalingMeasurement is one instance's wall-clock medians: the
-// direct single-engine solve and the cube solve per worker count, plus
-// the headline ratio direct/cube(maxWorkers) in thousandths.
-type CubeScalingMeasurement struct {
-	DirectNs int64 `json:"direct_ns"`
-	// CubeNs maps the worker count (as a decimal string, JSON-friendly)
-	// to the cube solve's median wall-clock.
-	CubeNs map[string]int64 `json:"cube_ns"`
-	// SpeedupMilli is 1000 * DirectNs / CubeNs[max workers measured].
-	SpeedupMilli int64 `json:"speedup_milli"`
+// cubeArms are the direct single-engine solve and the cube solve at 1, 2
+// and 4 conquer workers.
+var cubeArms = []KernelArm{
+	{Name: "direct", Run: func(in any) sat.Status { return solve(in, sat.DefaultOptions(sat.ProfileMiniSat)) }},
+	cubeArm(1), cubeArm(2), cubeArm(4),
 }
 
-// MeasureCubeScaling runs each job `rounds` times per configuration
-// (direct, then cube at each worker count) and reports per-config
-// medians. The formula is built once outside the timed region; each
-// timed run clones it through the solver's own AddFormula path.
-func MeasureCubeScaling(jobs []CDCLJob, workerCounts []int, rounds int) map[string]CubeScalingMeasurement {
-	if rounds <= 0 {
-		rounds = 3
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4}
-	}
-	out := make(map[string]CubeScalingMeasurement, len(jobs))
-	for _, job := range jobs {
-		f := job.Build()
-		m := CubeScalingMeasurement{CubeNs: make(map[string]int64, len(workerCounts))}
-		m.DirectNs = medianWall(rounds, func() {
-			s := sat.New(sat.DefaultOptions(sat.ProfileMiniSat))
-			if s.AddFormula(f.Clone()) {
-				s.Solve()
-			}
-		})
-		maxW := 0
-		for _, w := range workerCounts {
-			opts := CubeScalingOptions(w)
-			m.CubeNs[strconv.Itoa(w)] = medianWall(rounds, func() {
-				cube.Solve(context.Background(), f, opts)
-			})
-			if w > maxW {
-				maxW = w
-			}
-		}
-		if ns := m.CubeNs[strconv.Itoa(maxW)]; ns > 0 {
-			m.SpeedupMilli = 1000 * m.DirectNs / ns
-		}
-		out[job.Name] = m
-	}
-	return out
-}
-
-func medianWall(rounds int, f func()) int64 {
-	times := make([]int64, rounds)
-	for i := range times {
-		t0 := time.Now()
-		f()
-		times[i] = time.Since(t0).Nanoseconds()
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[rounds/2]
+func cubeArm(workers int) KernelArm {
+	opts := CubeScalingOptions(workers)
+	return KernelArm{Name: "w" + strconv.Itoa(workers), Run: func(in any) sat.Status {
+		return cube.Solve(context.Background(), in.(*cnf.Formula), opts).Status
+	}}
 }

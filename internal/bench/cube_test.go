@@ -4,10 +4,10 @@ import (
 	"context"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/cube"
-	"repro/internal/sat"
-	"repro/internal/satgen"
 )
 
 // Every cube-scaling job must reach its known verdict through the cube
@@ -18,14 +18,11 @@ func TestCubeScalingJobsVerdicts(t *testing.T) {
 	for _, job := range CubeScalingJobs() {
 		job := job
 		t.Run(job.Name, func(t *testing.T) {
-			f := job.Build()
+			f := job.Build().(*cnf.Formula)
 			for _, w := range []int{1, 4} {
 				res := cube.Solve(context.Background(), f, CubeScalingOptions(w))
-				if job.Want == satgen.StatusSat && res.Status != sat.Sat {
-					t.Fatalf("w=%d: verdict %v, want SAT", w, res.Status)
-				}
-				if job.Want == satgen.StatusUnsat && res.Status != sat.Unsat {
-					t.Fatalf("w=%d: verdict %v, want UNSAT", w, res.Status)
+				if res.Status != job.Want {
+					t.Fatalf("w=%d: verdict %v, want %v", w, res.Status, job.Want)
 				}
 			}
 			a := cube.Solve(context.Background(), f, CubeScalingOptions(1))
@@ -48,15 +45,25 @@ func TestCubeScalingBeatsDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock comparison")
 	}
-	res := MeasureCubeScaling(CubeScalingJobs(), []int{1, 2, 4}, 3)
-	speedups := make([]int64, 0, len(res))
-	for name, m := range res {
-		t.Logf("%s: direct=%dns cube=%v speedup=%.2fx",
-			name, m.DirectNs, m.CubeNs, float64(m.SpeedupMilli)/1000)
-		speedups = append(speedups, m.SpeedupMilli)
+	fam := KernelFamily{Name: "cube", Jobs: CubeScalingJobs(), Arms: cubeArms}
+	recs, err := Measure([]KernelFamily{fam}, 3, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Slice(speedups, func(i, j int) bool { return speedups[i] < speedups[j] })
-	if med := speedups[len(speedups)/2]; med < 1200 {
-		t.Fatalf("median 4-worker speedup %.2fx < 1.2x over the family", float64(med)/1000)
+	if len(recs) != len(fam.Jobs)*len(cubeArms) {
+		t.Fatalf("%d records for %d jobs", len(recs), len(fam.Jobs))
+	}
+	// Records come job by job, one per arm: direct, w1, w2, w4.
+	var speedups []float64
+	for j, job := range fam.Jobs {
+		r := recs[j*len(cubeArms) : (j+1)*len(cubeArms)]
+		s := float64(r[0].NsPerOp) / float64(r[3].NsPerOp)
+		t.Logf("%s: direct=%dns w1=%dns w2=%dns w4=%dns speedup=%.2fx",
+			job.Name, r[0].NsPerOp, r[1].NsPerOp, r[2].NsPerOp, r[3].NsPerOp, s)
+		speedups = append(speedups, s)
+	}
+	sort.Float64s(speedups)
+	if med := speedups[len(speedups)/2]; med < 1.2 {
+		t.Fatalf("median 4-worker speedup %.2fx < 1.2x over the family", med)
 	}
 }

@@ -17,22 +17,11 @@ package bench
 
 import (
 	"math/rand"
-	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/route"
 	"repro/internal/sat"
 )
-
-// FragmentJob is one deterministic router-level benchmark instance.
-type FragmentJob struct {
-	Name string
-	// Frag is the classification route.Classify must produce; the
-	// differential tests assert it.
-	Frag route.Fragment
-	// Build constructs the formula (called outside the timed region).
-	Build func() *cnf.Formula
-}
 
 // Random2SAT builds a random formula of width-2 clauses over distinct
 // variable pairs — the pure-binary fragment, solved by the router in
@@ -95,28 +84,6 @@ func HornSparse(nVars, nClauses int, rng *rand.Rand) *cnf.Formula {
 	return f
 }
 
-// HornChain builds a Horn instance whose verdict is decided by one long
-// unit-propagation cascade: two positive units seed the chain, and each
-// ternary clause ¬x_{i-2} ∨ ¬x_{i-1} ∨ x_i forces the next variable.
-// With unsat=true a final all-negative clause over the last two forced
-// variables closes the chain into a contradiction.
-func HornChain(n int, unsat bool) *cnf.Formula {
-	f := cnf.NewFormula(n)
-	f.AddClause(cnf.MkLit(0, false))
-	f.AddClause(cnf.MkLit(1, false))
-	for i := 2; i < n; i++ {
-		f.AddClause(
-			cnf.MkLit(cnf.Var(i-2), true),
-			cnf.MkLit(cnf.Var(i-1), true),
-			cnf.MkLit(cnf.Var(i), false),
-		)
-	}
-	if unsat {
-		f.AddClause(cnf.MkLit(cnf.Var(n-2), true), cnf.MkLit(cnf.Var(n-1), true))
-	}
-	return f
-}
-
 // XorSystem builds a native-XOR linear system (no CNF clauses at all,
 // unlike satgen.ParityChain's clausal expansion): nEqs equations of the
 // given width with right-hand sides planted from a hidden solution. With
@@ -163,105 +130,43 @@ func XorSystem(nVars, nEqs, width int, unsat bool, rng *rand.Rand) *cnf.Formula 
 // GJE work guard so both sides pay a full elimination) and the
 // near-fragment control — a 2SAT instance salted with a handful of mixed
 // ternary clauses, which must classify Mixed and fall through.
-func FragmentJobs() []FragmentJob {
-	return []FragmentJob{
-		{
-			Name: "2sat-gadget-k1000",
-			Frag: route.Binary,
-			Build: func() *cnf.Formula {
-				return Gadget2SAT(1000)
-			},
-		},
-		{
-			Name: "horn-sparse-v500000-m50000",
-			Frag: route.Horn,
-			Build: func() *cnf.Formula {
-				return HornSparse(500000, 50000, rand.New(rand.NewSource(7)))
-			},
-		},
-		{
-			Name: "xor-planted-v2048-e1300-w16",
-			Frag: route.AffineXor,
-			Build: func() *cnf.Formula {
-				return XorSystem(2048, 1300, 16, false, rand.New(rand.NewSource(82)))
-			},
-		},
-		{
-			Name: "near2sat-v4000-m4000-salt8",
-			Frag: route.Mixed,
-			Build: func() *cnf.Formula {
-				rng := rand.New(rand.NewSource(83))
-				f := Random2SAT(4000, 4000, rng)
-				// Eight ternary clauses with two positive literals each:
-				// not Horn, not anti-Horn, not binary — the residue is
-				// within a hair of 2SAT yet must classify Mixed.
-				for i := 0; i < 8; i++ {
-					f.AddClause(
-						cnf.MkLit(cnf.Var(rng.Intn(4000)), false),
-						cnf.MkLit(cnf.Var(rng.Intn(4000)), false),
-						cnf.MkLit(cnf.Var(rng.Intn(4000)), true),
-					)
-				}
-				return f
-			},
-		},
+func FragmentJobs() []KernelJob {
+	return []KernelJob{
+		cnfJob("2sat-gadget-k1000", sat.Sat, func() *cnf.Formula { return Gadget2SAT(1000) }),
+		cnfJob("horn-sparse-v500000-m50000", sat.Sat, func() *cnf.Formula {
+			return HornSparse(500000, 50000, rand.New(rand.NewSource(7)))
+		}),
+		cnfJob("xor-planted-v2048-e1300-w16", sat.Sat, func() *cnf.Formula {
+			return XorSystem(2048, 1300, 16, false, rand.New(rand.NewSource(82)))
+		}),
+		cnfJob("near2sat-v4000-m4000-salt8", sat.Sat, func() *cnf.Formula {
+			rng := rand.New(rand.NewSource(83))
+			f := Random2SAT(4000, 4000, rng)
+			// Eight ternary clauses with two positive literals each:
+			// not Horn, not anti-Horn, not binary — the residue is
+			// within a hair of 2SAT yet must classify Mixed.
+			for i := 0; i < 8; i++ {
+				f.AddClause(
+					cnf.MkLit(cnf.Var(rng.Intn(4000)), false),
+					cnf.MkLit(cnf.Var(rng.Intn(4000)), false),
+					cnf.MkLit(cnf.Var(rng.Intn(4000)), true),
+				)
+			}
+			return f
+		}),
 	}
 }
 
-// FragmentMeasurement is one job's routed-vs-CDCL timing result.
-type FragmentMeasurement struct {
-	// RoutedNsPerOp times route.Decide: classification plus, when the
-	// residue is pure, the polynomial solve. On Mixed jobs it is the
-	// fall-through overhead alone.
-	RoutedNsPerOp int64 `json:"routed_ns_per_op"`
-	// CDCLNsPerOp times solver construction + load + full search.
-	CDCLNsPerOp int64 `json:"cdcl_ns_per_op"`
-	// Speedup is CDCL/routed (0 when either side is unmeasured).
-	Speedup float64 `json:"speedup"`
-	// Routed reports whether the router actually decided the instance.
-	Routed bool `json:"routed"`
-}
-
-// MeasureFragment benchmarks each job both ways (formula built outside
-// the timed region) `rounds` times via testing.Benchmark and returns the
-// per-job medians, mirroring MeasureCDCL's medians-of-rounds shape so
-// the JSON artifacts diff cleanly across PRs.
-func MeasureFragment(jobs []FragmentJob, profile sat.Profile, rounds int) map[string]FragmentMeasurement {
-	if rounds <= 0 {
-		rounds = 5
-	}
-	out := make(map[string]FragmentMeasurement, len(jobs))
-	for _, job := range jobs {
-		f := job.Build()
-		_, _, routed := route.Decide(f)
-		var routedNs, cdclNs []int64
-		for r := 0; r < rounds; r++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					route.Decide(f)
-				}
-			})
-			routedNs = append(routedNs, res.NsPerOp())
-			res = testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s := sat.New(sat.DefaultOptions(profile))
-					if !s.AddFormula(f) {
-						continue
-					}
-					s.Solve()
-				}
-			})
-			cdclNs = append(cdclNs, res.NsPerOp())
+// fragmentArms are route.Decide — classification plus, when the residue
+// is pure, the polynomial solve; on a mixed residue it declines, and the
+// arm times the fall-through overhead alone — and a full CDCL solve under
+// the CMS profile.
+var fragmentArms = []KernelArm{
+	{Name: "routed", Run: func(in any) sat.Status {
+		if v, _, ok := route.Decide(in.(*cnf.Formula)); ok {
+			return v.Status
 		}
-		m := FragmentMeasurement{
-			RoutedNsPerOp: median64(routedNs),
-			CDCLNsPerOp:   median64(cdclNs),
-			Routed:        routed,
-		}
-		if m.RoutedNsPerOp > 0 {
-			m.Speedup = float64(m.CDCLNsPerOp) / float64(m.RoutedNsPerOp)
-		}
-		out[job.Name] = m
-	}
-	return out
+		return sat.Unknown
+	}, Declines: true},
+	{Name: "cdcl", Run: func(in any) sat.Status { return solve(in, sat.DefaultOptions(sat.ProfileCMS)) }},
 }

@@ -20,25 +20,11 @@ package bench
 
 import (
 	"math/rand"
-	"testing"
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
 	"repro/internal/satgen"
 )
-
-// ParityJob is one deterministic parity-family benchmark instance.
-type ParityJob struct {
-	Name string
-	// Want is the verdict both arms must produce; a mismatch on either
-	// arm marks the measurement invalid rather than publishing a timing
-	// for a wrong answer.
-	Want sat.Status
-	// Build constructs the formula (called outside the timed region).
-	// The returned formula carries native f.Xors; the cut arm's clausal
-	// expansion happens inside the solver during the timed load.
-	Build func() *cnf.Formula
-}
 
 // LFSRParity builds an LFSR reachability instance (satgen.LFSRReach) and
 // recovers its step relations into native XOR clauses, the same
@@ -104,109 +90,30 @@ func ParityCascade(nVars, width int, unsat bool, seed int64) *cnf.Formula {
 // conflict counts: dense resolution-hard XOR systems have exponential
 // search-path variance under either encoding (and are Gauss's job
 // anyway), which would drown the encoding cost this family tracks.
-func ParityJobs() []ParityJob {
-	return []ParityJob{
-		{
-			Name: "lfsr-b24-s48-unsat",
-			Want: sat.Unsat,
-			Build: func() *cnf.Formula {
-				return LFSRParity(24, 48, true, 11)
-			},
-		},
-		{
-			Name: "cascade-v2000-w6-unsat",
-			Want: sat.Unsat,
-			Build: func() *cnf.Formula {
-				return ParityCascade(2000, 6, true, 5)
-			},
-		},
-		{
-			Name: "chain-parity-v80-e88-w4-unsat",
-			Want: sat.Unsat,
-			Build: func() *cnf.Formula {
-				return ChainParity(80, 88, 4, false, 21)
-			},
-		},
-		{
-			Name: "planted-xor-v400-e150-w6-sat",
-			Want: sat.Sat,
-			Build: func() *cnf.Formula {
-				return XorSystem(400, 150, 6, false, rand.New(rand.NewSource(7)))
-			},
-		},
-		{
-			Name: "planted-xor-v300-e280-w6-unsat",
-			Want: sat.Unsat,
-			Build: func() *cnf.Formula {
-				return XorSystem(300, 280, 6, true, rand.New(rand.NewSource(12)))
-			},
-		},
+func ParityJobs() []KernelJob {
+	return []KernelJob{
+		cnfJob("lfsr-b24-s48-unsat", sat.Unsat, func() *cnf.Formula { return LFSRParity(24, 48, true, 11) }),
+		cnfJob("cascade-v2000-w6-unsat", sat.Unsat, func() *cnf.Formula { return ParityCascade(2000, 6, true, 5) }),
+		cnfJob("chain-parity-v80-e88-w4-unsat", sat.Unsat, func() *cnf.Formula { return ChainParity(80, 88, 4, false, 21) }),
+		cnfJob("planted-xor-v400-e150-w6-sat", sat.Sat, func() *cnf.Formula {
+			return XorSystem(400, 150, 6, false, rand.New(rand.NewSource(7)))
+		}),
+		cnfJob("planted-xor-v300-e280-w6-unsat", sat.Unsat, func() *cnf.Formula {
+			return XorSystem(300, 280, 6, true, rand.New(rand.NewSource(12)))
+		}),
 	}
 }
 
-// ParityMeasurement is one job's native-vs-cut timing result.
-type ParityMeasurement struct {
-	// NativeNsPerOp times solver construction + load + search with the
-	// packed parity kind (the DefaultOptions path).
-	NativeNsPerOp int64 `json:"native_ns_per_op"`
-	// CutNsPerOp times the same solve with NativeXor and Gauss off, so
-	// every XOR pays the 2^(k-1) clausal expansion and CDCL search over
-	// it.
-	CutNsPerOp int64 `json:"cut_ns_per_op"`
-	// Speedup is cut/native (0 when either side is unmeasured).
-	Speedup float64 `json:"speedup"`
-	// Valid reports that both arms produced the job's expected verdict;
-	// timings with Valid=false must not be trusted.
-	Valid bool `json:"valid"`
-}
-
-// MeasureParity benchmarks each job both ways (formula built outside the
-// timed region) `rounds` times via testing.Benchmark and returns the
-// per-job medians, mirroring MeasureFragment's medians-of-rounds shape
-// so the JSON artifacts diff cleanly across PRs.
-func MeasureParity(jobs []ParityJob, profile sat.Profile, rounds int) map[string]ParityMeasurement {
-	if rounds <= 0 {
-		rounds = 5
-	}
-	solveOnce := func(f *cnf.Formula, opts sat.Options) sat.Status {
-		s := sat.New(opts)
-		if !s.AddFormula(f) {
-			return sat.Unsat
-		}
-		return s.Solve()
-	}
-	out := make(map[string]ParityMeasurement, len(jobs))
-	for _, job := range jobs {
-		f := job.Build()
-		nativeOpts := sat.DefaultOptions(profile)
-		cutOpts := sat.DefaultOptions(profile)
-		cutOpts.NativeXor = false
-		cutOpts.EnableGauss = false
-		valid := solveOnce(f, nativeOpts) == job.Want && solveOnce(f, cutOpts) == job.Want
-		var nativeNs, cutNs []int64
-		for r := 0; r < rounds; r++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					solveOnce(f, nativeOpts)
-				}
-			})
-			nativeNs = append(nativeNs, res.NsPerOp())
-			res = testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					solveOnce(f, cutOpts)
-				}
-			})
-			cutNs = append(cutNs, res.NsPerOp())
-		}
-		m := ParityMeasurement{
-			NativeNsPerOp: median64(nativeNs),
-			CutNsPerOp:    median64(cutNs),
-			Valid:         valid,
-		}
-		if m.NativeNsPerOp > 0 {
-			m.Speedup = float64(m.CutNsPerOp) / float64(m.NativeNsPerOp)
-		}
-		out[job.Name] = m
-	}
-	return out
+// parityArms solve under the MiniSat profile with the packed parity kind
+// (native) and with NativeXor and Gauss off (cut), so that every XOR pays
+// the 2^(k-1) clausal expansion during the timed load and CDCL search
+// over it.
+var parityArms = []KernelArm{
+	{Name: "native", Run: func(in any) sat.Status { return solve(in, sat.DefaultOptions(sat.ProfileMiniSat)) }},
+	{Name: "cut", Run: func(in any) sat.Status {
+		opts := sat.DefaultOptions(sat.ProfileMiniSat)
+		opts.NativeXor = false
+		opts.EnableGauss = false
+		return solve(in, opts)
+	}},
 }

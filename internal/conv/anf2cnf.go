@@ -273,48 +273,16 @@ func (c *converter) addXorCut(terms []cnf.Var, rhs bool) {
 	c.emitXor(terms, rhs)
 }
 
-// emitXor encodes sum(vars) = rhs either natively or by enumerating the
-// 2^(l-1) clauses that block every odd/even-parity violation.
+// emitXor encodes sum(vars) = rhs either natively or by the 2^(l-1)
+// clauses of the clausal cut.
 func (c *converter) emitXor(vars []cnf.Var, rhs bool) {
-	// Cancel duplicate variables in pairs.
-	count := map[cnf.Var]int{}
-	for _, v := range vars {
-		count[v]++
-	}
-	var vs []cnf.Var
-	for _, v := range vars {
-		if count[v]%2 == 1 {
-			vs = append(vs, v)
-			count[v] = 0
-		}
-	}
-	if len(vs) == 0 {
-		if rhs {
-			c.f.AddClause()
-		}
-		return
-	}
 	if c.opts.NativeXor {
-		c.f.AddXor(rhs, vs...)
-		return
+		if vs := cnf.CancelPairs(vars); len(vs) > 0 {
+			c.f.AddXor(rhs, vs...)
+			return
+		}
 	}
-	n := len(vs)
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		parity := false
-		for i := 0; i < n; i++ {
-			if mask>>uint(i)&1 == 1 {
-				parity = !parity
-			}
-		}
-		if parity == rhs {
-			continue
-		}
-		lits := make([]cnf.Lit, n)
-		for i := 0; i < n; i++ {
-			lits[i] = cnf.MkLit(vs[i], mask>>uint(i)&1 == 1)
-		}
-		c.f.AddClause(lits...)
-	}
+	c.f.AddXorCut(rhs, vars...)
 }
 
 // PolyToCNF converts a single polynomial equation into a fresh formula;

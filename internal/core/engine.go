@@ -30,10 +30,10 @@ type Config struct {
 	ConflictBudgetStep int64
 	ConflictBudgetMax  int64
 
-	// Profile selects the internal SAT solver.
+	// Profile selects the internal SAT solver. The Lingeling profile
+	// pairs CDCL with simp preprocessing in the SAT step (see
+	// SATStepConfig.Profile).
 	Profile sat.Profile
-	// Preprocess enables simp preprocessing inside the SAT step.
-	Preprocess bool
 	// HarvestMonomials is the §III-C ablation: also read facts off
 	// monomial auxiliary variables.
 	HarvestMonomials bool
@@ -87,8 +87,6 @@ type Config struct {
 	// EnableProbing adds failed-literal probing (a lookahead-style
 	// component, also named in §V) to the SAT step.
 	EnableProbing bool
-	// ProbeMax bounds probing per SAT step (0 = all variables).
-	ProbeMax int
 
 	// Workers sets how many fact learners run at once; 0 and 1 both run
 	// them one after another, and each learner eliminates on one
@@ -280,10 +278,8 @@ func Process(input *anf.System, cfg Config) *Result {
 				ConflictBudget:   budget,
 				Profile:          cfg.Profile,
 				Conv:             cfg.Conv,
-				Preprocess:       cfg.Preprocess,
 				HarvestMonomials: cfg.HarvestMonomials,
 				Probe:            cfg.EnableProbing,
-				ProbeMax:         cfg.ProbeMax,
 				Route:            cfg.Route,
 				NoNativeXor:      cfg.NoNativeXor,
 				Seed:             cfg.Seed + int64(iter) + 1,

@@ -19,14 +19,14 @@ import (
 type SATStepConfig struct {
 	// ConflictBudget is C, the number of conflicts the solver may spend.
 	ConflictBudget int64
-	// Profile selects the solver personality.
+	// Profile selects the solver personality. The Lingeling profile runs
+	// simp preprocessing before solving (its pairing with heavy
+	// preprocessing) unless CaptureProof is set. Facts are still
+	// extracted in the original variable space, so only the solve
+	// benefits.
 	Profile sat.Profile
 	// Conv is the ANF→CNF conversion configuration.
 	Conv conv.Options
-	// Preprocess runs simp preprocessing before solving (the Lingeling
-	// pairing). Facts are still extracted in the original variable space,
-	// so only the solve benefits.
-	Preprocess bool
 	// HarvestMonomials additionally interprets learnt units on monomial
 	// auxiliary variables as monomial facts. The paper's implementation
 	// excludes auxiliary variables from learnt facts (§III-C); this is the
@@ -37,8 +37,6 @@ type SATStepConfig struct {
 	// units flow through the normal unit harvest; probe equivalences are
 	// harvested directly.
 	Probe bool
-	// ProbeMax bounds the number of probed variables (0 = all).
-	ProbeMax int
 	// Seed makes the solver deterministic.
 	Seed int64
 	// Context, when non-nil, cancels the step: the solver's interrupt hook
@@ -60,9 +58,9 @@ type SATStepConfig struct {
 	NoNativeXor bool
 	// CaptureProof attaches a DRAT writer to the solver and, when the step
 	// refutes the formula, returns the proof as a Certificate. Capture
-	// forces Preprocess off: simp rewrites the clause set, so a proof
-	// logged against the preprocessed formula would not check against the
-	// emitted CNF.
+	// turns the Lingeling preprocessing off: simp rewrites the clause set,
+	// so a proof logged against the preprocessed formula would not check
+	// against the emitted CNF.
 	CaptureProof bool
 	// ProofBinary selects the compact binary proof encoding.
 	ProofBinary bool
@@ -102,11 +100,7 @@ func RunSATStep(sys *anf.System, cfg SATStepConfig) *SATStepResult {
 	if cfg.ConflictBudget <= 0 {
 		cfg.ConflictBudget = 10000
 	}
-	if cfg.CaptureProof {
-		// A proof logged against the simp-rewritten clause set would not
-		// check against the emitted CNF; capture implies no preprocessing.
-		cfg.Preprocess = false
-	}
+	preprocess := cfg.Profile == sat.ProfileLingeling && !cfg.CaptureProof
 	convOpts := cfg.Conv
 	// With native parity clauses (the default), every profile keeps XOR
 	// pieces whole through conversion — the solver watches them directly.
@@ -150,7 +144,7 @@ func RunSATStep(sys *anf.System, cfg SATStepConfig) *SATStepResult {
 
 	target := f
 	var rec *simp.Reconstructor
-	if cfg.Preprocess {
+	if preprocess {
 		pres := simp.Preprocess(f, simp.DefaultOptions())
 		if pres.Unsat {
 			res.Status = sat.Unsat
@@ -204,7 +198,7 @@ func RunSATStep(sys *anf.System, cfg SATStepConfig) *SATStepResult {
 		return res
 	}
 	if cfg.Probe {
-		probe := s.ProbeLiterals(cfg.ProbeMax)
+		probe := s.ProbeLiterals(0)
 		if probe.Unsat {
 			res.Status = sat.Unsat
 			addFact(anf.OnePoly(), "refuted by probing")
@@ -213,7 +207,7 @@ func RunSATStep(sys *anf.System, cfg SATStepConfig) *SATStepResult {
 		}
 		for _, eq := range probe.Equivalences {
 			a, b := eq[0], eq[1]
-			if !vm.IsOriginal(a.Var()) || !vm.IsOriginal(b.Var()) || cfg.Preprocess {
+			if !vm.IsOriginal(a.Var()) || !vm.IsOriginal(b.Var()) || preprocess {
 				continue
 			}
 			p := anf.VarPoly(anf.Var(a.Var())).Add(anf.VarPoly(anf.Var(b.Var())))
@@ -330,7 +324,7 @@ func RunSATStep(sys *anf.System, cfg SATStepConfig) *SATStepResult {
 	// implication graph over problem + learnt binaries find equivalences
 	// that need a chain of implications, not just complementary pairs.
 	// (Skip under preprocessing: simp rewrites the clause set.)
-	if !cfg.Preprocess {
+	if !preprocess {
 		bin := cnf.NewFormula(f.NumVars)
 		for _, c := range f.Clauses {
 			if len(c) == 2 {

@@ -1,6 +1,10 @@
 package sat
 
-import "repro/internal/cnf"
+import (
+	"slices"
+
+	"repro/internal/cnf"
+)
 
 // This file is the shared strongly-connected-component machinery over
 // binary implication graphs. Two consumers build on it:
@@ -109,8 +113,13 @@ func (g *Implications) SCC() *Components {
 //
 // It returns one (root, member) pair per non-trivial equivalence, in
 // component id order, plus ok=false when a variable is equivalent to its
-// own negation (the formula is unsatisfiable).
+// own negation (the formula is unsatisfiable). A formula without a
+// 2-clause has no equivalence, and the graph's per-literal tables are
+// not built for it.
 func BinaryEquivalences(f *cnf.Formula) ([][2]cnf.Lit, bool) {
+	if !slices.ContainsFunc(f.Clauses, func(c cnf.Clause) bool { return len(c) == 2 }) {
+		return nil, true
+	}
 	g := NewImplications(f.NumVars)
 	for _, c := range f.Clauses {
 		if len(c) == 2 {

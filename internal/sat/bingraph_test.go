@@ -83,6 +83,22 @@ func TestBinaryEquivalencesIgnoresLongClauses(t *testing.T) {
 	}
 }
 
+// A formula with no 2-clause has no equivalence, and finding that out
+// allocates nothing per variable: a ten-byte request can name x10000000.
+func TestBinaryEquivalencesNoBinaryClauseNoAllocation(t *testing.T) {
+	f := cnf.NewFormula(10_000_000)
+	f.AddClause(cnf.MkLit(9_999_999, false))
+	f.AddClause(cnf.MkLit(0, false), cnf.MkLit(1, true), cnf.MkLit(9_999_999, true))
+	var eqs [][2]cnf.Lit
+	ok := false
+	if allocs := testing.AllocsPerRun(3, func() { eqs, ok = BinaryEquivalences(f) }); allocs != 0 {
+		t.Fatalf("%v allocations without a binary clause", allocs)
+	}
+	if !ok || eqs != nil {
+		t.Fatalf("got %v, %v; want nil, true", eqs, ok)
+	}
+}
+
 // Every reported equivalence must hold in every model of the formula.
 func TestQuickBinaryEquivalencesSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))

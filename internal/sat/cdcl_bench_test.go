@@ -4,73 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cnf"
 	"repro/internal/satgen"
 )
 
-// The CDCL hot-path benchmark family (mirrors internal/bench's CDCL jobs,
-// expressed as plain go-test benchmarks so `go test -bench CDCL` and the
-// check.sh bench smoke cover the solver core). The formula is built once;
-// each iteration pays solver construction + clause loading + the full
-// search, which is exactly the per-SAT-step cost the Bosphorus loop pays
-// every iteration.
-
-func benchSolve(b *testing.B, f *cnf.Formula, profile Profile, want Status) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New(DefaultOptions(profile))
-		if !s.AddFormula(f) {
-			if want != Unsat {
-				b.Fatal("unexpected load-time UNSAT")
-			}
-			continue
-		}
-		if st := s.Solve(); want != Unknown && st != want {
-			b.Fatalf("verdict %v, want %v", st, want)
-		}
-	}
-}
-
-// Propagation-heavy family: unit propagation over long watcher lists
-// dominates; conflicts are rare.
-
-func BenchmarkCDCLPropagationChain(b *testing.B) {
-	f := cnf.NewFormula(20000)
-	for i := 0; i+1 < 20000; i++ {
-		f.AddClause(cnf.MkLit(cnf.Var(i), true), cnf.MkLit(cnf.Var(i+1), false))
-	}
-	f.AddClause(cnf.MkLit(0, false))
-	benchSolve(b, f, ProfileMiniSat, Sat)
-}
-
-func BenchmarkCDCLPropagationLFSR(b *testing.B) {
-	f := satgen.LFSRReach(16, 48, false, rand.New(rand.NewSource(11))).Formula
-	benchSolve(b, f, ProfileMiniSat, Sat)
-}
-
-func BenchmarkCDCLPropagationParity(b *testing.B) {
-	f := satgen.ParityChain(96, 80, 3, true, rand.New(rand.NewSource(12))).Formula
-	benchSolve(b, f, ProfileMiniSat, Sat)
-}
-
-// Conflict-analysis-heavy family: thousands of conflicts, learnt-clause
-// churn, reduceDB triggered.
-
-func BenchmarkCDCLConflictPHP(b *testing.B) {
-	f := satgen.Pigeonhole(8, 7).Formula
-	benchSolve(b, f, ProfileMiniSat, Unsat)
-}
-
-func BenchmarkCDCLConflictRand3SAT(b *testing.B) {
-	f := satgen.RandomKSAT(170, 3, 4.26, rand.New(rand.NewSource(13))).Formula
-	benchSolve(b, f, ProfileMiniSat, Sat)
-}
-
-func BenchmarkCDCLConflictChessboard(b *testing.B) {
-	f := satgen.MutilatedChessboard(8).Formula
-	benchSolve(b, f, ProfileMiniSat, Unsat)
-}
+// The CDCL propagation and conflict families are timed with the rest of
+// the kernel table: go test -run '^$' -bench 'Kernels/cdcl' ./internal/bench.
 
 // Long-session benchmark: enumerate models with blocking clauses — the
 // assume/enumerate workload whose peak watcher capacity the arena GC is

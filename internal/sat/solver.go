@@ -289,54 +289,20 @@ func (s *Solver) AddXor(rhs bool, vars ...cnf.Var) bool {
 	return s.addXorClausal(rhs, vars)
 }
 
-// addXorClausal encodes v1 ⊕ ... ⊕ vk = rhs as 2^(k-1) clauses.
+// addXorClausal encodes v1 ⊕ ... ⊕ vk = rhs as 2^(k-1) clauses. The
+// clauses are entailed by the XOR row, not by the formula's clauses, so
+// each enters the proof as a justification.
 func (s *Solver) addXorClausal(rhs bool, vars []cnf.Var) bool {
-	// Deduplicate pairs: x ⊕ x = 0.
-	counts := map[cnf.Var]int{}
-	for _, v := range vars {
-		counts[v]++
-	}
-	var vs []cnf.Var
-	for _, v := range vars {
-		if counts[v]%2 == 1 {
-			vs = append(vs, v)
-			counts[v] = 0
-		}
-	}
-	if len(vs) == 0 {
-		if rhs {
-			s.ok = false
+	return cnf.XorCut(rhs, vars, func(lits cnf.Clause) bool {
+		if len(lits) == 0 {
 			// 0 = 1: justified by the (inconsistent) input XOR rows.
+			s.ok = false
 			s.logJustify(nil)
 			return false
 		}
-		return true
-	}
-	n := len(vs)
-	for mask := 0; mask < 1<<n; mask++ {
-		// A clause forbids each assignment with wrong parity: the clause is
-		// the negation of the assignment where bit i set means vs[i]=true.
-		parity := false
-		for i := 0; i < n; i++ {
-			if mask>>i&1 == 1 {
-				parity = !parity
-			}
-		}
-		if parity == rhs {
-			continue // correct parity: allowed
-		}
-		lits := make([]cnf.Lit, n)
-		for i := 0; i < n; i++ {
-			lits[i] = cnf.MkLit(vs[i], mask>>i&1 == 1)
-		}
-		// The enumeration clauses are entailed by the XOR row, not by the
-		// formula's clauses, so they enter the proof as justifications.
 		s.logJustify(lits)
-		if !s.AddClause(lits...) {
-			return false
-		}
-	}
-	return true
+		return s.AddClause(lits...)
+	})
 }
 
 // AddFormula loads a cnf.Formula. Returns false if trivially UNSAT.

@@ -132,22 +132,7 @@ func ParityChain(nVars, nEqs, width int, planted bool, rng *rand.Rand) *Instance
 			}
 		}
 		// Clausal expansion of the XOR (2^(w-1) clauses).
-		for mask := 0; mask < 1<<uint(width); mask++ {
-			parity := false
-			for i := 0; i < width; i++ {
-				if mask>>uint(i)&1 == 1 {
-					parity = !parity
-				}
-			}
-			if parity == rhs {
-				continue
-			}
-			lits := make([]cnf.Lit, width)
-			for i := 0; i < width; i++ {
-				lits[i] = cnf.MkLit(vs[i], mask>>uint(i)&1 == 1)
-			}
-			f.AddClause(lits...)
-		}
+		f.AddXorCut(rhs, vs...)
 	}
 	kind := "rand"
 	if planted {
@@ -219,28 +204,13 @@ func LFSRReach(nBits, steps int, unsat bool, rng *rand.Rand) *Instance {
 			f.AddClause(cnf.MkLit(at(s+1, b), true), cnf.MkLit(at(s, b+1), false))
 			f.AddClause(cnf.MkLit(at(s+1, b), false), cnf.MkLit(at(s, b+1), true))
 		}
-		// next[n-1] = XOR of taps of cur: clausal expansion.
+		// next[n-1] = XOR of taps of cur, i.e. next ⊕ taps = 0: clausal
+		// expansion.
 		vs := []cnf.Var{at(s+1, nBits-1)}
 		for _, tp := range taps {
 			vs = append(vs, at(s, tp))
 		}
-		w := len(vs)
-		for mask := 0; mask < 1<<uint(w); mask++ {
-			parity := false
-			for i := 0; i < w; i++ {
-				if mask>>uint(i)&1 == 1 {
-					parity = !parity
-				}
-			}
-			if !parity { // constraint: XOR of all = 0 (next ⊕ taps = 0)
-				continue
-			}
-			lits := make([]cnf.Lit, w)
-			for i := 0; i < w; i++ {
-				lits[i] = cnf.MkLit(vs[i], mask>>uint(i)&1 == 1)
-			}
-			f.AddClause(lits...)
-		}
+		f.AddXorCut(false, vs...)
 	}
 	// Property: final state all ones.
 	for b := 0; b < nBits; b++ {

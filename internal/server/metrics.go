@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,20 +45,70 @@ type Metrics struct {
 	// Worker-node role.
 	NodeCubesSolved atomic.Int64 // tasks this node settled (SAT or UNSAT)
 
-	mu         sync.Mutex
-	facts      map[string]int64 // per-technique facts learnt
-	routed     map[string]int64 // per-fragment router verdicts (2sat/horn/antihorn/xor)
-	latencyCnt [14]int64        // len(latencyBuckets)+1, last is +Inf
-	latencySum float64
-	latencyN   int64
-	routeCnt   [8]int64 // len(routeBuckets)+1, last is +Inf
-	routeSum   float64  // nanoseconds
-	routeN     int64
+	mu      sync.Mutex
+	facts   map[string]int64 // per-technique facts learnt
+	routed  map[string]int64 // per-fragment router verdicts (2sat/horn/antihorn/xor)
+	latency histogram        // seconds
+	route   histogram        // nanoseconds
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{facts: make(map[string]int64), routed: make(map[string]int64)}
+	return &Metrics{
+		facts:   make(map[string]int64),
+		routed:  make(map[string]int64),
+		latency: newHistogram(latencyBuckets),
+		route:   newHistogram(routeBuckets),
+	}
+}
+
+// histogram is a cumulative histogram over fixed upper bounds; the count
+// past the last bound is the +Inf bucket. Its owner's lock guards it.
+type histogram struct {
+	bounds []float64
+	counts []int64
+	sum    float64
+	n      int64
+}
+
+func newHistogram(bounds []float64) histogram {
+	return histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+}
+
+// observe counts v in the first bucket whose bound is at least v.
+func (h *histogram) observe(v float64) {
+	i, _ := slices.BinarySearch(h.bounds, v)
+	h.counts[i]++
+	h.sum += v
+	h.n++
+}
+
+// render writes h in the Prometheus text format.
+func (h *histogram) render(b *strings.Builder, name string) {
+	fmt.Fprintf(b, "# TYPE %s histogram\n", name)
+	cum := int64(0)
+	for i, ub := range h.bounds {
+		cum += h.counts[i]
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, ub, cum)
+	}
+	cum += h.counts[len(h.bounds)]
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_sum %g\n", name, h.sum)
+	fmt.Fprintf(b, "%s_count %d\n", name, h.n)
+}
+
+// renderLabelled writes a counter with one label, its series in label
+// order.
+func renderLabelled(b *strings.Builder, name, label string, series map[string]int64) {
+	keys := make([]string, 0, len(series))
+	for k := range series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(b, "# TYPE %s counter\n", name)
+	for _, k := range keys {
+		fmt.Fprintf(b, "%s{%s=%q} %d\n", name, label, k, series[k])
+	}
 }
 
 // AddFacts credits n learnt facts to a technique label (xl, elimlin, sat,
@@ -77,42 +128,23 @@ func (m *Metrics) AddFacts(technique string, n int) {
 // a routed verdict. fragment is "" when the residue was mixed and the
 // job fell through to CDCL.
 func (m *Metrics) ObserveRoute(fragment string, ns int64) {
-	idx := len(routeBuckets)
-	for i, ub := range routeBuckets {
-		if float64(ns) <= ub {
-			idx = i
-			break
-		}
-	}
 	m.mu.Lock()
 	if fragment != "" {
 		m.routed[fragment]++
 	}
-	m.routeCnt[idx]++
-	m.routeSum += float64(ns)
-	m.routeN++
+	m.route.observe(float64(ns))
 	m.mu.Unlock()
 }
 
 // ObserveLatency records one completed solve's wall-clock time.
 func (m *Metrics) ObserveLatency(d time.Duration) {
-	s := d.Seconds()
-	idx := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			idx = i
-			break
-		}
-	}
 	m.mu.Lock()
-	m.latencyCnt[idx]++
-	m.latencySum += s
-	m.latencyN++
+	m.latency.observe(d.Seconds())
 	m.mu.Unlock()
 }
 
 // Render writes the registry in the Prometheus text exposition format
-// (counters and one cumulative histogram) — stdlib-only, scrapable, and
+// (counters, gauges and cumulative histograms) — stdlib-only, scrapable, and
 // greppable by the smoke tests.
 func (m *Metrics) Render() string {
 	var b strings.Builder
@@ -136,44 +168,10 @@ func (m *Metrics) Render() string {
 	fmt.Fprintf(&b, "# TYPE bosphorusd_cube_jobs_active gauge\nbosphorusd_cube_jobs_active %d\n", m.CubeJobsActive.Load())
 
 	m.mu.Lock()
-	techs := make([]string, 0, len(m.facts))
-	for t := range m.facts {
-		techs = append(techs, t)
-	}
-	sort.Strings(techs)
-	b.WriteString("# TYPE bosphorusd_facts_learnt_total counter\n")
-	for _, t := range techs {
-		fmt.Fprintf(&b, "bosphorusd_facts_learnt_total{technique=%q} %d\n", t, m.facts[t])
-	}
-	frags := make([]string, 0, len(m.routed))
-	for f := range m.routed {
-		frags = append(frags, f)
-	}
-	sort.Strings(frags)
-	b.WriteString("# TYPE bosphorusd_routed_total counter\n")
-	for _, f := range frags {
-		fmt.Fprintf(&b, "bosphorusd_routed_total{fragment=%q} %d\n", f, m.routed[f])
-	}
-	b.WriteString("# TYPE bosphorusd_route_ns histogram\n")
-	rcum := int64(0)
-	for i, ub := range routeBuckets {
-		rcum += m.routeCnt[i]
-		fmt.Fprintf(&b, "bosphorusd_route_ns_bucket{le=\"%g\"} %d\n", ub, rcum)
-	}
-	rcum += m.routeCnt[len(routeBuckets)]
-	fmt.Fprintf(&b, "bosphorusd_route_ns_bucket{le=\"+Inf\"} %d\n", rcum)
-	fmt.Fprintf(&b, "bosphorusd_route_ns_sum %g\n", m.routeSum)
-	fmt.Fprintf(&b, "bosphorusd_route_ns_count %d\n", m.routeN)
-	b.WriteString("# TYPE bosphorusd_solve_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range latencyBuckets {
-		cum += m.latencyCnt[i]
-		fmt.Fprintf(&b, "bosphorusd_solve_seconds_bucket{le=\"%g\"} %d\n", ub, cum)
-	}
-	cum += m.latencyCnt[len(latencyBuckets)]
-	fmt.Fprintf(&b, "bosphorusd_solve_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "bosphorusd_solve_seconds_sum %g\n", m.latencySum)
-	fmt.Fprintf(&b, "bosphorusd_solve_seconds_count %d\n", m.latencyN)
+	renderLabelled(&b, "bosphorusd_facts_learnt_total", "technique", m.facts)
+	renderLabelled(&b, "bosphorusd_routed_total", "fragment", m.routed)
+	m.route.render(&b, "bosphorusd_route_ns")
+	m.latency.render(&b, "bosphorusd_solve_seconds")
 	m.mu.Unlock()
 	return b.String()
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the full local gate: formatting, vet, build, race-enabled
 # tests, the proof round-trip smokes (scripts/proofsmoke.sh), short fuzz
-# runs of the DRAT checker,
+# runs of every fuzz target (scripts/fuzzsmoke.sh),
 # a one-iteration smoke pass over the perf-critical benchmarks, and the
 # end-to-end benchmark module's vet, tests and a one-second run. CI and
 # pre-commit runs should both go through `make check`, which calls this.
@@ -53,30 +53,11 @@ BOSPHORUSD_SMOKE_DIR="$workdir" go test -count=1 -run TestMultiNodeSmoke ./cmd/b
 go build -o "$workdir/proofcheck" ./cmd/proofcheck
 "$workdir/proofcheck" -cnf "$workdir/smoke.cnf" "$workdir/smoke.drat" | grep -q "s VERIFIED"
 
-echo "==> proof checker fuzz (a few seconds each)"
-go test -run '^$' -fuzz '^FuzzProofCheck$' -fuzztime 3s ./internal/proof
-go test -run '^$' -fuzz '^FuzzProofMutation$' -fuzztime 3s ./internal/proof
-
-echo "==> lint directive-parser fuzz (a few seconds)"
-go test -run '^$' -fuzz '^FuzzDirectives$' -fuzztime 3s ./internal/lint
-
-echo "==> parity clause fuzz (a few seconds)"
-go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
-
-echo "==> sparse GF(2) elimination fuzz (a few seconds)"
-go test -run '^$' -fuzz '^FuzzSparseRREF$' -fuzztime 3s ./internal/gf2
-
-echo "==> ANF-to-CNF conversion fuzz against the reference encoder (a few seconds)"
-go test -run '^$' -fuzz '^FuzzANFToCNF$' -fuzztime 3s ./internal/conv
-
-echo "==> reader fuzz (ANF against the reference parser, DIMACS) and /solve handler fuzz (a few seconds each)"
-go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 3s ./internal/anf
-go test -run '^$' -fuzz '^FuzzReadDimacs$' -fuzztime 3s ./internal/cnf
-go test -run '^$' -fuzz '^FuzzSolveHandler$' -fuzztime 3s ./internal/server
+sh scripts/fuzzsmoke.sh
 
 echo "==> bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars|ReadSystem|SolveHit' -benchtime 1x \
-	./internal/anf ./internal/conv ./internal/core ./internal/gf2 ./internal/server
+go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars|ReadSystem|SolveHit|Kernels' -benchtime 1x \
+	./internal/anf ./internal/bench ./internal/conv ./internal/core ./internal/gf2 ./internal/server
 
 echo "==> perfbench module (vet, tests, one-second traced run)"
 # perfbench is a Go module of its own (replace repro => ../), so the root
@@ -86,20 +67,15 @@ echo "==> perfbench module (vet, tests, one-second traced run)"
 bash perfbench/run.sh --workload simon-elimlin --seed 1 --seconds 1 --trace 1 > "$workdir/perfbench.out"
 tail -n 1 "$workdir/perfbench.out" | grep -q '"correct":true'
 
-echo "==> benchtab harness smoke (-quick snapshot + -compare on frozen baselines)"
+echo "==> benchtab harness smoke (-quick snapshot + -compare against the latest frozen one)"
 go run ./cmd/benchtab -perf "$workdir/quick.json" -quick
-# Gate disabled (-gate=-1): this asserts that -compare parses every frozen
-# snapshot generation (pr1 has no cdcl section, pr6 no cube section), not
-# that the newer snapshots beat the older ones.
-go run ./cmd/benchtab -compare -gate=-1 BENCH_pr1.json BENCH_pr5.json >/dev/null
-go run ./cmd/benchtab -compare -gate=-1 BENCH_pr6.json BENCH_pr7.json >/dev/null
-go run ./cmd/benchtab -compare -gate=-1 BENCH_pr7.json BENCH_pr8.json >/dev/null
-go run ./cmd/benchtab -compare -gate=-1 BENCH_pr8.json BENCH_pr10.json >/dev/null
+# Gate disabled (-gate=-1): this asserts that -compare reads a fresh file
+# beside the latest frozen one, not that a smoke-scale run beats it. The
+# frozen pairs' pairing is pinned by TestCompareFrozenPairs in cmd/benchtab.
 go run ./cmd/benchtab -compare -gate=-1 BENCH_pr10.json "$workdir/quick.json" >/dev/null
 
-echo "==> fragment routing smoke (classifier fuzz + route/walksat quick tests)"
+echo "==> fragment routing smoke (frozen-seed classifications and verdicts)"
 go test -count=1 -run 'TestFragmentJobs' ./internal/bench
-go test -run '^$' -fuzz '^FuzzClassify$' -fuzztime 3s ./internal/route
 
 echo "==> parity family smoke (frozen-seed verdicts, both arms)"
 go test -count=1 -run 'TestParityJobsVerdicts' ./internal/bench
