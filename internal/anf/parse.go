@@ -3,6 +3,7 @@ package anf
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -46,18 +47,33 @@ func MustParsePoly(s string) Poly {
 // ReadSystem parses a polynomial system: one polynomial equation per line,
 // '#' and 'c' starting comments, blank lines skipped. A line longer than
 // 16 MiB, invalid UTF-8, a malformed polynomial or an index above
-// MaxVarIndex is an error that names its line.
+// MaxVarIndex is an error that names its line. It is ScanSystem with a
+// builder that copies each equation into storage of its own.
 func ReadSystem(r io.Reader) (*System, error) {
+	sys := NewSystem()
+	var keep slabs
+	if err := ScanSystem(r, func(p Poly) { sys.Add(keep.poly(p)) }); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// ScanSystem reads a polynomial system exactly as ReadSystem does — the
+// same grammar, caps and line-numbered errors — without building it: it
+// hands eq each equation that is not the zero polynomial, in input order
+// and canonical term order, so every equation eq sees has at least one
+// term. The polynomial lives in storage the scan reuses for the next
+// line, so it is valid only until eq returns.
+func ScanSystem(r io.Reader, eq func(Poly)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxLineBytes)
 	var pr polyReader
-	sys := NewSystem()
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
 		if !utf8.Valid(line) {
-			return nil, fmt.Errorf("line %d: invalid UTF-8", lineNo)
+			return fmt.Errorf("line %d: invalid UTF-8", lineNo)
 		}
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 || line[0] == '#' || line[0] == 'c' && (len(line) == 1 || line[1] == ' ') {
@@ -65,14 +81,13 @@ func ReadSystem(r io.Reader) (*System, error) {
 		}
 		p, err := pr.parse(line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		sys.Add(p)
+		if !p.IsZero() {
+			eq(p)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return sc.Err()
 }
 
 // WriteSystem writes the system in the same one-polynomial-per-line format
@@ -97,31 +112,21 @@ func WriteSystem(w io.Writer, sys *System) error {
 	return bw.Flush()
 }
 
-// polyReader is the byte-level parser behind ParsePoly and ReadSystem. It
-// reads a line in one left-to-right pass and carves what it builds from
-// slabs it owns: each monomial's variables are a capped sub-slice of a Var
-// slab and each polynomial's terms a capped sub-slice of a Monomial slab,
-// so a system costs a few allocations per slab chunk instead of several
-// per term. The regions are disjoint and
-// capped, so appending to one (or rewriting a polynomial in place, as
-// SubstituteInPlace does) never touches another.
+// polyReader is the byte-level parser behind ParsePoly and ScanSystem. It
+// reads a line in one left-to-right pass into two buffers it reuses from
+// line to line: the variables of the line's monomials, each monomial a
+// capped sub-slice of them, and the line's terms.
 type polyReader struct {
-	vars  []Var      // slab the monomials' variables are carved from
-	terms []Monomial // slab the polynomials' terms are carved from
-	fac   []Var      // factors of the term being read
-	line  []Monomial // terms of the polynomial being read
+	vars  []Var
+	terms []Monomial
 }
-
-// maxSlabChunk caps the element count of a slab chunk: chunks double from
-// a few elements, so a one-line ParsePoly stays small and a large system
-// needs a handful of allocations, with at most one chunk partly unused.
-const maxSlabChunk = 1 << 14
 
 // parse reads one polynomial from b: terms separated by '+' or '⊕', each
 // the constant 0 or 1 or a '*'-product of x<index> factors, with Unicode
-// whitespace allowed around every term and factor.
+// whitespace allowed around every term and factor. The result lives in
+// pr's buffers until the next parse.
 func (pr *polyReader) parse(b []byte) (Poly, error) {
-	pr.line = pr.line[:0]
+	pr.vars, pr.terms = pr.vars[:0], pr.terms[:0]
 	for i := 0; ; i += sepLen(b, i) {
 		i = skipSpace(b, i)
 		if atTermEnd(b, i) {
@@ -132,7 +137,7 @@ func (pr *polyReader) parse(b []byte) (Poly, error) {
 			return Poly{}, err
 		}
 		if i == len(b) {
-			return pr.carvePoly(), nil
+			return pr.canonical(), nil
 		}
 	}
 }
@@ -144,18 +149,21 @@ func (pr *polyReader) readTerm(b []byte, i int) (int, error) {
 	if c := b[i]; c == '0' || c == '1' {
 		if j := skipSpace(b, i+1); atTermEnd(b, j) {
 			if c == '1' {
-				pr.line = append(pr.line, One)
+				pr.terms = append(pr.terms, One)
 			}
 			return j, nil
 		}
 	}
-	pr.fac = pr.fac[:0]
+	// The factors go to the end of pr.vars; a term written in ascending
+	// order, as WriteSystem writes it, needs no sort.
+	vars, start, sorted := pr.vars, len(pr.vars), true
 	for {
 		v, end, err := readVar(b, i)
 		if err != nil {
 			return 0, fmt.Errorf("anf: bad factor %q in %q: %w", factorAt(b, i), b, err)
 		}
-		pr.fac = append(pr.fac, v)
+		sorted = sorted && (len(vars) == start || vars[len(vars)-1] < v)
+		vars = append(vars, v)
 		j := skipSpace(b, end)
 		if j < len(b) && b[j] == '*' {
 			i = skipSpace(b, j+1)
@@ -164,24 +172,21 @@ func (pr *polyReader) readTerm(b []byte, i int) (int, error) {
 		if !atTermEnd(b, j) {
 			return 0, fmt.Errorf("anf: bad factor %q in %q: expected x<index>", factorAt(b, i), b)
 		}
-		pr.line = append(pr.line, Monomial{vars: pr.carveVars(pr.fac)})
+		if !sorted { // sort and deduplicate (x·x = x) in place
+			slices.Sort(vars[start:])
+			vars = vars[:start+len(slices.Compact(vars[start:]))]
+		}
+		pr.vars = vars
+		pr.terms = append(pr.terms, Monomial{vars: vars[start:len(vars):len(vars)]})
 		return j, nil
 	}
 }
 
-// carveVars sorts and deduplicates a term's factors (x·x = x) and copies
-// them into the Var slab.
-func (pr *polyReader) carveVars(fac []Var) []Var {
-	slices.Sort(fac)
-	return carve(&pr.vars, slices.Compact(fac))
-}
-
-// carvePoly puts the line's terms in canonical order (descending
-// graded-lex, equal terms cancelled in pairs) and copies them into the
-// Monomial slab. Input written by WriteSystem is already canonical and
-// skips the sort.
-func (pr *polyReader) carvePoly() Poly {
-	ts := pr.line
+// canonical puts the line's terms in canonical order (descending
+// graded-lex, equal terms cancelled in pairs) in place. Input written by
+// WriteSystem is already canonical and skips the sort.
+func (pr *polyReader) canonical() Poly {
+	ts := pr.terms
 	for k := 1; k < len(ts); k++ {
 		if ts[k-1].Compare(ts[k]) <= 0 {
 			ts = sortCancel(ts)
@@ -191,7 +196,34 @@ func (pr *polyReader) carvePoly() Poly {
 	if len(ts) == 0 {
 		return Poly{}
 	}
-	return Poly{terms: carve(&pr.terms, ts)}
+	return Poly{terms: ts[:len(ts):len(ts)]}
+}
+
+// slabs is the storage ReadSystem keeps equations in: each monomial's
+// variables are a capped sub-slice of a Var slab and each polynomial's
+// terms a capped sub-slice of a Monomial slab, so a system costs a few
+// allocations per slab chunk instead of several per term. The regions are
+// disjoint and capped, so appending to one (or rewriting a polynomial in
+// place, as SubstituteInPlace does) never touches another.
+type slabs struct {
+	vars  []Var
+	terms []Monomial
+}
+
+// maxSlabChunk caps the element count of a slab chunk: chunks double from
+// a few elements, so a small system stays small and a large one needs a
+// handful of allocations, with at most one chunk partly unused.
+const maxSlabChunk = 1 << 14
+
+// poly copies p, whose storage the scan is about to reuse, into the slabs.
+func (s *slabs) poly(p Poly) Poly {
+	ts := carve(&s.terms, p.terms)
+	for i := range ts {
+		if len(ts[i].vars) > 0 {
+			ts[i].vars = carve(&s.vars, ts[i].vars)
+		}
+	}
+	return Poly{terms: ts}
 }
 
 // carve copies xs to the end of the slab *s, starting a new chunk when
@@ -205,27 +237,41 @@ func carve[T any](s *[]T, xs []T) []T {
 	return (*s)[a:len(*s):len(*s)]
 }
 
+// Factor errors, shared so that readVar stays small enough to inline.
+var (
+	errExpectVar = errors.New("expected x<index>")
+	errVarRange  = fmt.Errorf("variable index out of range (max %d)", MaxVarIndex)
+)
+
 // readVar reads the factor x<index> (or X<index>) at b[i:] and returns
 // the index just past it.
 func readVar(b []byte, i int) (Var, int, error) {
-	if i >= len(b) || b[i] != 'x' && b[i] != 'X' {
-		return 0, 0, fmt.Errorf("expected x<index>")
+	if i >= len(b) || b[i]|0x20 != 'x' { // 'x' or 'X'
+		return 0, 0, errExpectVar
 	}
 	end, v := i+1, 0
-	for ; end < len(b) && '0' <= b[end] && b[end] <= '9'; end++ {
+	for ; end < len(b) && b[end]-'0' <= 9; end++ {
 		if v = 10*v + int(b[end]-'0'); v > MaxVarIndex {
-			return 0, 0, fmt.Errorf("variable index out of range (max %d)", MaxVarIndex)
+			return 0, 0, errVarRange
 		}
 	}
 	if end == i+1 {
-		return 0, 0, fmt.Errorf("expected x<index>")
+		return 0, 0, errExpectVar
 	}
 	return Var(v), end, nil
 }
 
 // skipSpace returns the index of the first byte at or after i that does
-// not start a Unicode whitespace character.
+// not start a Unicode whitespace character. The common case, a printable
+// ASCII byte, returns at once.
 func skipSpace(b []byte, i int) int {
+	if i < len(b) && b[i]-'!' < utf8.RuneSelf-'!' {
+		return i
+	}
+	return skipSpaces(b, i)
+}
+
+func skipSpaces(b []byte, i int) int {
 	for i < len(b) {
 		if c := b[i]; c < utf8.RuneSelf {
 			if c != ' ' && (c < '\t' || c > '\r') {
@@ -249,11 +295,15 @@ const oplus = "⊕"
 // sepLen returns the length of the term separator at b[i:] ('+' or '⊕'),
 // or 0 if there is none.
 func sepLen(b []byte, i int) int {
-	switch {
-	case i < len(b) && b[i] == '+':
-		return 1
-	case len(b)-i >= len(oplus) && string(b[i:i+len(oplus)]) == oplus:
-		return len(oplus)
+	if i < len(b) {
+		switch b[i] {
+		case '+':
+			return 1
+		case oplus[0]:
+			if string(b[i:min(i+len(oplus), len(b))]) == oplus {
+				return len(oplus)
+			}
+		}
 	}
 	return 0
 }

@@ -2,10 +2,12 @@ package cnf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -26,77 +28,74 @@ const MaxVar = 1 << 26
 // Malformed input — truncated or non-numeric headers, literals outside
 // [-MaxVar, MaxVar] or beyond the declared variable count, non-UTF-8
 // bytes — returns an error; the reader never panics (see FuzzReadDimacs).
+// It is ScanDimacs with a builder that copies each clause and XOR row.
 func ReadDimacs(r io.Reader) (*Formula, error) {
 	f := &Formula{}
+	n, err := ScanDimacs(r, func(c Clause) {
+		f.Clauses = append(f.Clauses, append(Clause(nil), c...))
+	}, func(x XorClause) {
+		f.Xors = append(f.Xors, XorClause{Vars: append([]Var(nil), x.Vars...), RHS: x.RHS})
+	})
+	if err != nil {
+		return nil, err
+	}
+	f.NumVars = n
+	return f, nil
+}
+
+// ScanDimacs reads DIMACS text exactly as ReadDimacs does — the same
+// grammar, limits and line-numbered errors — without building a Formula:
+// it hands clause each clause and xor each XOR row, in input order, and
+// returns the variable count ReadDimacs would set. The slices it passes
+// live in storage the scan reuses, so they are valid only until the
+// callback returns.
+func ScanDimacs(r io.Reader, clause func(Clause), xor func(XorClause)) (numVars int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<26) // grow from the scanner's default up to 64 MiB lines
-	var cur []Lit
-	var curXor []int
+	var cur Clause
+	var x XorClause
 	inXor := false
 	declaredVars := 0
 	lineNo := 0
-	finishClause := func() error {
-		if inXor {
-			x := XorClause{RHS: true}
-			for _, d := range curXor {
-				v := d
-				if v < 0 {
-					x.RHS = !x.RHS
-					v = -v
-				}
-				x.Vars = append(x.Vars, Var(v-1))
-			}
-			f.Xors = append(f.Xors, x)
-			curXor = curXor[:0]
-			inXor = false
-			return nil
-		}
-		f.Clauses = append(f.Clauses, append(Clause(nil), cur...))
-		cur = cur[:0]
-		return nil
-	}
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if !utf8.ValidString(line) {
-			return nil, fmt.Errorf("dimacs line %d: invalid UTF-8", lineNo)
+		line := bytes.TrimSpace(sc.Bytes())
+		if !utf8.Valid(line) {
+			return 0, fmt.Errorf("dimacs line %d: invalid UTF-8", lineNo)
 		}
-		if line == "" || strings.HasPrefix(line, "c") {
+		if len(line) == 0 || line[0] == 'c' {
 			continue
 		}
-		if strings.HasPrefix(line, "p") {
-			fields := strings.Fields(line)
-			if len(fields) < 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("dimacs line %d: truncated or bad problem line %q", lineNo, line)
+		if line[0] == 'p' {
+			if declaredVars, err = readHeader(string(line)); err != nil {
+				return 0, fmt.Errorf("dimacs line %d: %w", lineNo, err)
 			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("dimacs line %d: %w", lineNo, err)
-			}
-			if _, err := strconv.Atoi(fields[3]); err != nil {
-				return nil, fmt.Errorf("dimacs line %d: %w", lineNo, err)
-			}
-			if n < 0 || n > MaxVar {
-				return nil, fmt.Errorf("dimacs line %d: declared variable count %d out of range [0, %d]", lineNo, n, MaxVar)
-			}
-			declaredVars = n
 			continue
 		}
-		if strings.HasPrefix(line, "x") {
+		if line[0] == 'x' {
 			if len(cur) > 0 || inXor {
-				return nil, fmt.Errorf("dimacs line %d: xor line inside unterminated clause", lineNo)
+				return 0, fmt.Errorf("dimacs line %d: xor line inside unterminated clause", lineNo)
 			}
 			inXor = true
+			x = XorClause{Vars: x.Vars[:0], RHS: true}
 			line = line[1:]
 		}
-		for _, tok := range strings.Fields(line) {
-			d, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("dimacs line %d: bad literal %q", lineNo, tok)
+		for i := 0; ; {
+			var tok []byte
+			if tok, i = nextField(line, i); tok == nil {
+				break
+			}
+			d, ok := atoi(tok)
+			if !ok {
+				return 0, fmt.Errorf("dimacs line %d: bad literal %q", lineNo, tok)
 			}
 			if d == 0 {
-				if err := finishClause(); err != nil {
-					return nil, err
+				if inXor {
+					xor(x)
+					inXor = false
+				} else {
+					clause(cur)
+					cur = cur[:0]
 				}
 				continue
 			}
@@ -105,16 +104,15 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 				v = -v
 			}
 			if v < 0 || v > MaxVar { // v < 0: -d overflowed (d == MinInt)
-				return nil, fmt.Errorf("dimacs line %d: literal %d out of range (max variable %d)", lineNo, d, MaxVar)
+				return 0, fmt.Errorf("dimacs line %d: literal %d out of range (max variable %d)", lineNo, d, MaxVar)
 			}
 			if declaredVars > 0 && v > declaredVars {
-				return nil, fmt.Errorf("dimacs line %d: literal %d exceeds declared variable count %d", lineNo, d, declaredVars)
+				return 0, fmt.Errorf("dimacs line %d: literal %d exceeds declared variable count %d", lineNo, d, declaredVars)
 			}
-			if v > f.NumVars {
-				f.NumVars = v
-			}
+			numVars = max(numVars, v)
 			if inXor {
-				curXor = append(curXor, d)
+				x.Vars = append(x.Vars, Var(v-1))
+				x.RHS = x.RHS != (d < 0)
 			} else {
 				l, _ := LitFromDimacs(d)
 				cur = append(cur, l)
@@ -122,15 +120,99 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	if len(cur) > 0 || inXor && len(curXor) > 0 {
-		return nil, fmt.Errorf("dimacs: unterminated clause at EOF")
+	if len(cur) > 0 || inXor && len(x.Vars) > 0 {
+		return 0, fmt.Errorf("dimacs: unterminated clause at EOF")
 	}
-	if declaredVars > f.NumVars {
-		f.NumVars = declaredVars
+	return max(numVars, declaredVars), nil
+}
+
+// readHeader checks a "p cnf <vars> <clauses>" line and returns its
+// variable count.
+func readHeader(line string) (int, error) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || fields[1] != "cnf" {
+		return 0, fmt.Errorf("truncated or bad problem line %q", line)
 	}
-	return f, nil
+	n, err := strconv.Atoi(fields[2])
+	if err != nil {
+		return 0, err
+	}
+	if _, err := strconv.Atoi(fields[3]); err != nil {
+		return 0, err
+	}
+	if n < 0 || n > MaxVar {
+		return 0, fmt.Errorf("declared variable count %d out of range [0, %d]", n, MaxVar)
+	}
+	return n, nil
+}
+
+// nextField returns the first whitespace-separated field of b at or after
+// i and the index just past it, or nil when only whitespace is left. It
+// splits where strings.Fields does: at every Unicode space.
+func nextField(b []byte, i int) ([]byte, int) {
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if !asciiSpace(c) {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(b[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	if i == len(b) {
+		return nil, i
+	}
+	j := i
+	for j < len(b) {
+		if c := b[j]; c < utf8.RuneSelf {
+			if asciiSpace(c) {
+				break
+			}
+			j++
+			continue
+		}
+		r, size := utf8.DecodeRune(b[j:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		j += size
+	}
+	return b[i:j], j
+}
+
+func asciiSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
+// atoi parses a literal as strconv.Atoi does. Short plain numbers, which
+// are all real literals, take a loop over the bytes; anything else goes
+// to strconv.Atoi for the same value or the same rejection.
+func atoi(tok []byte) (int, bool) {
+	neg := tok[0] == '-'
+	digits := tok
+	if neg || tok[0] == '+' {
+		digits = tok[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		d, err := strconv.Atoi(string(tok))
+		return d, err == nil
+	}
+	d := 0
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d = 10*d + int(c-'0')
+	}
+	if neg {
+		d = -d
+	}
+	return d, true
 }
 
 // WriteDimacs writes the formula in DIMACS format, XOR clauses as "x" lines.

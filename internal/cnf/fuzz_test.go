@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzReadDimacs checks that the DIMACS reader never panics and that
-// accepted inputs survive a write/read round trip with stable semantics
-// on a fixed assignment.
+// FuzzReadDimacs checks that the DIMACS reader never panics, that it
+// agrees with the reference reader (the same error text, or the same
+// formula), and that accepted inputs survive a write/read round trip with
+// stable semantics on a fixed assignment.
 func FuzzReadDimacs(f *testing.F) {
 	for _, seed := range []string{
 		"p cnf 2 1\n1 -2 0\n",
@@ -35,6 +36,7 @@ func FuzzReadDimacs(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		assertSameRead(t, s)
 		frm, err := ReadDimacs(strings.NewReader(s))
 		if err != nil {
 			return

@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// lruCache is a small result cache keyed by the normalized job key. Only
-// completed (non-cancelled, non-failed) results are stored, so a cached
-// entry is always a full answer for its inputs.
+// lruCache is a small result cache keyed by the normalized job key. Its
+// values are the encoded bodies a cache hit sends. Only completed
+// (non-cancelled, non-failed) results are stored, so a cached entry is
+// always a full answer for its inputs.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -17,16 +18,17 @@ type lruCache struct {
 
 type lruEntry struct {
 	key string
-	val *Response
+	val []byte
 }
 
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// Get returns the cached response and moves it to the front.
-func (c *lruCache) Get(key string) (*Response, bool) {
-	if c == nil || c.cap <= 0 {
+// Get returns the cached body and moves it to the front. Callers must not
+// modify it.
+func (c *lruCache) Get(key string) ([]byte, bool) {
+	if !c.enabled() {
 		return nil, false
 	}
 	c.mu.Lock()
@@ -39,9 +41,9 @@ func (c *lruCache) Get(key string) (*Response, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// Put stores a response, evicting the least recently used entry past cap.
-func (c *lruCache) Put(key string, val *Response) {
-	if c == nil || c.cap <= 0 {
+// Put stores a body, evicting the least recently used entry past cap.
+func (c *lruCache) Put(key string, val []byte) {
+	if !c.enabled() {
 		return
 	}
 	c.mu.Lock()
@@ -58,6 +60,9 @@ func (c *lruCache) Put(key string, val *Response) {
 		delete(c.byKey, back.Value.(*lruEntry).key)
 	}
 }
+
+// enabled reports whether the cache stores anything.
+func (c *lruCache) enabled() bool { return c != nil && c.cap > 0 }
 
 // Len reports the number of cached entries.
 func (c *lruCache) Len() int {

@@ -83,6 +83,7 @@ type distOutcome struct {
 type distJob struct {
 	id        string
 	tree      *cube.Tree
+	form      *cnf.Formula // checks the models nodes send
 	formText  string
 	withProof bool
 	deadline  time.Time // the job's context deadline, shipped with tasks
@@ -203,11 +204,11 @@ func (r *cubeRegistry) record(res CubeResult) (requeued, used bool) {
 	if res.Cube < 0 || res.Cube >= len(dj.outcomes) || dj.outcomes[res.Cube].settled {
 		return false, false
 	}
-	switch res.Status {
-	case "SAT":
+	switch {
+	case res.Status == "SAT" && modelSatisfies(dj.form, res.Model):
 		dj.outcomes[res.Cube].settled = true
 		dj.finishLocked(sat.Sat, res.Model)
-	case "UNSAT":
+	case res.Status == "UNSAT":
 		// Validate before mutating: a result with a malformed literal must
 		// not settle the cube half-way.
 		failed := make([]cnf.Lit, 0, len(res.Failed))
@@ -229,8 +230,9 @@ func (r *cubeRegistry) record(res CubeResult) (requeued, used bool) {
 			dj.finishLocked(sat.Unsat, nil)
 		}
 	default:
-		// The node gave up (its deadline, a transfer problem): put the
-		// cube back in line. The job's own deadline bounds this.
+		// The node gave up (its deadline, a transfer problem) or sent a
+		// model that fails the formula: put the cube back in line. The
+		// job's own deadline bounds this.
 		dj.outcomes[res.Cube].leasedAt = time.Time{}
 		r.fifo = append(r.fifo, taskRef{id: dj.id, cube: res.Cube})
 		return true, true
@@ -305,6 +307,7 @@ func (s *Server) runCubeCoordinator(jb *job) *Response {
 
 	dj := &distJob{
 		tree:      tree,
+		form:      jb.form,
 		formText:  jb.formText,
 		withProof: jb.req.Proof,
 		outcomes:  make([]distOutcome, len(tree.Open)),

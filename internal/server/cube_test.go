@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -286,4 +288,54 @@ func splitForTest(t *testing.T, f *cnf.Formula) *cube.Tree {
 		t.Fatal("splitter produced no open cubes")
 	}
 	return tree
+}
+
+// A worker node's SAT model is evaluated on the job's formula before it
+// settles anything. Here a node posts an all-false "model" for the UNSAT
+// PHP(5,4): the cube goes back in line, a real node then refutes every
+// cube, and neither the answer nor the resent request's is SAT.
+func TestCubeCoordinatorRejectsFalseModel(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, Role: RoleCoordinator})
+	f := satgen.Pigeonhole(5, 4).Formula
+	req := Request{Format: "dimacs", Input: dimacsOf(t, f), Mode: "cube", MaxCubes: 8, TimeoutMS: 30000}
+	answers := make(chan *Response, 1)
+	go func() {
+		_, out := postJob(t, ts.URL, req)
+		answers <- out
+	}()
+
+	var task CubeTask
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var ok bool
+		if task, ok = srv.cubes.next(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the cube job never offered a task")
+		}
+	}
+	body, err := json.Marshal(CubeResult{JobID: task.JobID, Cube: task.Cube, Status: "SAT", Model: make([]bool, f.NumVars)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/cube/result", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := srv.Metrics().CubesRequeued.Load(); got != 1 {
+		t.Fatalf("CubesRequeued = %d after a false model, want 1", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go NewNode(NodeConfig{Coordinator: ts.URL, Poll: 5 * time.Millisecond}).Run(ctx)
+	out := <-answers
+	if out == nil || out.Status != "UNSAT" {
+		t.Fatalf("answer %+v, want UNSAT", out)
+	}
+	_, again := postJob(t, ts.URL, req)
+	if again == nil || !again.Cached || again.Status != "UNSAT" {
+		t.Fatalf("resent request answered %+v, want the cached UNSAT", again)
+	}
 }

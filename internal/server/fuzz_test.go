@@ -57,8 +57,8 @@ func FuzzSolveHandler(f *testing.F) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			t.Fatal(err)
 		}
-		jb, parseErr := parseJob(req)
-		if parseErr == nil && (jb.sys != nil && jb.sys.NumVars() > 64 || jb.form != nil && jb.form.NumVars > 64) {
+		_, parseErr := parseJob(req)
+		if parseErr == nil && inputVars(t, req) > 64 {
 			// Raw bytes can name a variable such as x10000000; the solve
 			// would then build tables over millions of variables, seconds
 			// and gigabytes per input.
@@ -93,6 +93,24 @@ func FuzzSolveHandler(f *testing.F) {
 			}
 		}
 	})
+}
+
+// inputVars returns the variable count of a request's input as the
+// readers build it.
+func inputVars(t *testing.T, req Request) int {
+	t.Helper()
+	if strings.EqualFold(req.Format, "anf") {
+		sys, err := anf.ReadSystem(strings.NewReader(req.Input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.NumVars()
+	}
+	f, err := cnf.ReadDimacs(strings.NewReader(req.Input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.NumVars
 }
 
 // serveSolve posts req through the handler and decodes a 200 answer.

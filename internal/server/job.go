@@ -81,7 +81,8 @@ type Response struct {
 	Iterations int `json:"iterations,omitempty"`
 	// ANF is the processed system (learnt facts applied) for engine modes.
 	ANF string `json:"anf,omitempty"`
-	// ElapsedMS is the solve's wall-clock time (0 for cache hits).
+	// ElapsedMS is the solve's wall-clock time; a cache hit repeats the
+	// time of the solve that produced the answer.
 	ElapsedMS int64 `json:"elapsed_ms"`
 	// Cached is true when the answer came from the result cache.
 	Cached bool `json:"cached,omitempty"`
@@ -107,29 +108,30 @@ const (
 	kindCube
 )
 
-// job is one unit of queued work: the parsed problem plus its
-// cancellation scope. parseJob sets the input's own form (sys for ANF,
-// form for DIMACS) and the key; prepare adds the other form and formText
-// where the mode needs them. done is closed by the worker after resp/err
-// are set.
+// job is one unit of queued work: the request, validated and keyed, plus
+// its cancellation scope. parseJob sets the kind, the input's format and
+// the key; prepare, on a miss, builds the input (sys for ANF, form for
+// DIMACS), the other form and formText where the mode needs them. done is
+// closed by the worker after resp/err are set.
 type job struct {
 	kind     jobKind
+	format   byte // tagANF or tagDIMACS: the form the client sent
 	req      Request
 	sys      *anf.System  // engine modes
 	form     *cnf.Formula // portfolio/cube modes
 	formText string       // canonical DIMACS, kept for cube-task dispatch
 	key      string       // cache key over normalized input + config
 
-	ctx  context.Context
-	resp *Response
-	err  error
-	done chan struct{}
+	ctx      context.Context
+	admitted time.Time // when the job entered the queue
+	resp     *Response
+	err      error
+	done     chan struct{}
 }
 
-// parseJob validates a request, parses its input and computes the cache
-// key, and does nothing more: a cache hit pays only for this. The
-// returned job carries the parsed system or formula and the key; ctx/done
-// are filled in by the caller, and prepare runs on a miss.
+// parseJob validates a request and computes its cache key from one scan
+// of the input, and does nothing more: a cache hit pays only for this.
+// ctx/done are filled in by the caller, and prepare runs on a miss.
 func parseJob(req Request) (*job, error) {
 	jb := &job{req: req}
 	switch strings.ToLower(req.Mode) {
@@ -153,35 +155,39 @@ func parseJob(req Request) (*job, error) {
 	if req.Proof && jb.kind != kindCube {
 		return nil, fmt.Errorf("proof is only supported in cube mode")
 	}
-
-	// Parse and key the input; conversions wait for a cache miss (prepare).
 	switch strings.ToLower(req.Format) {
 	case "anf":
-		sys, err := anf.ReadSystem(strings.NewReader(req.Input))
-		if err != nil {
-			return nil, fmt.Errorf("bad ANF input: %w", err)
-		}
-		if sys.Len() == 0 {
-			return nil, fmt.Errorf("ANF input has no equations")
-		}
-		jb.sys = sys
+		jb.format = tagANF
 	case "dimacs", "cnf":
-		f, err := cnf.ReadDimacs(strings.NewReader(req.Input))
-		if err != nil {
-			return nil, fmt.Errorf("bad DIMACS input: %w", err)
-		}
-		jb.form = f
+		jb.format = tagDIMACS
 	default:
 		return nil, fmt.Errorf("unknown format %q (want anf or dimacs)", req.Format)
 	}
-	jb.key = jb.cacheKey()
+	key, err := jb.cacheKey()
+	if err != nil {
+		return nil, err
+	}
+	jb.key = key
 	return jb, nil
 }
 
 // prepare builds what only a run needs, once the cache has missed: the
-// CNF of an ANF portfolio or cube job, the ANF of a DIMACS process or
-// solve job, and a cube job's canonical DIMACS text.
-func (jb *job) prepare() {
+// input, read from its text, the CNF of an ANF portfolio or cube job, the
+// ANF of a DIMACS process or solve job, and a cube job's canonical DIMACS
+// text.
+func (jb *job) prepare() error {
+	var err error
+	in := strings.NewReader(jb.req.Input)
+	if jb.format == tagANF {
+		jb.sys, err = anf.ReadSystem(in)
+	} else {
+		jb.form, err = cnf.ReadDimacs(in)
+	}
+	if err != nil {
+		// parseJob's scan of the same text passed, and the readers are
+		// that scan plus a builder.
+		return fmt.Errorf("reading an input its scan accepted: %w", err)
+	}
 	cnfMode := jb.kind == kindPortfolio || jb.kind == kindCube
 	switch {
 	case cnfMode && jb.form == nil:
@@ -197,6 +203,27 @@ func (jb *job) prepare() {
 		_ = cnf.WriteDimacs(&ft, jb.form) // a strings.Builder does not fail
 		jb.formText = ft.String()
 	}
+	return nil
+}
+
+// checkModel evaluates a SAT answer's model on the client's input as
+// parsed: the ANF system or the DIMACS formula, whichever the request
+// sent. Variables past the end of the model read as false.
+func (jb *job) checkModel(model []bool) error {
+	if jb.format == tagANF {
+		if !core.VerifySolution(jb.sys, model) {
+			return fmt.Errorf("the SAT model fails the ANF input")
+		}
+	} else if !modelSatisfies(jb.form, model) {
+		return fmt.Errorf("the SAT model fails the DIMACS input")
+	}
+	return nil
+}
+
+// modelSatisfies reports whether model satisfies f; variables past the
+// end of the model read as false.
+func modelSatisfies(f *cnf.Formula, model []bool) bool {
+	return f.Eval(func(v cnf.Var) bool { return int(v) < len(model) && model[v] })
 }
 
 // run executes the job under its context and fills resp. Engine config

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
+	"strings"
 
 	"repro/internal/anf"
 	"repro/internal/cnf"
@@ -17,16 +19,42 @@ const (
 	tagDIMACS = 'D'
 )
 
-// cacheKey returns the result-cache key of a freshly parsed job, before
-// any conversion: the SHA-256, in hex, of every knob that can change the
-// answer followed by a binary canonical encoding of the parsed input. Two
-// requests share a key exactly when they ask for the same work on the
-// same normalized problem, so payloads differing only in whitespace,
-// comments, factor or term order or cancelling duplicate terms share one,
-// while equation and clause order, the declared variable count and the
-// format do not. Request fields that do not appear here are listed, with
-// the reason, in the reflection test TestCacheKeyCoversRequest.
-func (jb *job) cacheKey() string {
+// cacheKey returns the result-cache key of a request, from one scan of its
+// input text and nothing built: the SHA-256, in hex, of every knob that
+// can change the answer followed by a binary canonical encoding of the
+// input the readers would build. Two requests share a key exactly when
+// they ask for the same work on the same normalized problem, so payloads
+// differing only in whitespace, comments, factor or term order or
+// cancelling duplicate terms share one, while equation and clause order,
+// the declared variable count and the format do not. Request fields that
+// do not appear here are listed, with the reason, in the reflection test
+// TestCacheKeyCoversRequest. A scan error is the request's error.
+func (jb *job) cacheKey() (string, error) {
+	e := newKeyEncoder()
+	e.knobs(jb)
+	in := strings.NewReader(jb.req.Input)
+	if jb.format == tagANF {
+		e.uvarint(tagANF)
+		if err := anf.ScanSystem(in, e.equation); err != nil {
+			return "", fmt.Errorf("bad ANF input: %w", err)
+		}
+		if e.count == 0 {
+			return "", fmt.Errorf("ANF input has no equations")
+		}
+		e.end(e.numVars)
+	} else {
+		e.uvarint(tagDIMACS)
+		numVars, err := cnf.ScanDimacs(in, e.clause, e.xor)
+		if err != nil {
+			return "", fmt.Errorf("bad DIMACS input: %w", err)
+		}
+		e.end(numVars)
+	}
+	return hex.EncodeToString(e.sum()), nil
+}
+
+// knobs encodes the mode and every request knob that changes the work.
+func (e *keyEncoder) knobs(jb *job) {
 	req := jb.req
 	// Only a cube run depends on workers (its pool size changes the run):
 	// process and solve give the same result at every learner fan-out
@@ -36,7 +64,6 @@ func (jb *job) cacheKey() string {
 	if jb.kind != kindCube {
 		workers = 0
 	}
-	e := keyEncoder{h: sha256.New(), buf: make([]byte, 0, 4096)}
 	e.uvarint(uint64(jb.kind))
 	for _, x := range []int64{int64(req.MaxIterations), req.ConflictBudget, req.Seed,
 		int64(workers), int64(req.TimeoutMS), int64(req.MaxCubes)} {
@@ -49,29 +76,42 @@ func (jb *job) cacheKey() string {
 		}
 	}
 	e.uvarint(flags)
-	if jb.sys != nil {
-		e.system(jb.sys)
-	} else {
-		e.formula(jb.form)
-	}
-	return hex.EncodeToString(e.sum())
 }
 
 // keyEncoder writes varints into a SHA-256 through a small buffer, so the
-// encoding is never materialized whole. The knobs go through uvarint and
-// varint; system and formula append to the buffer directly and spill it
-// once per equation or clause.
+// encoding is never materialized whole. The input's records stream in as
+// the scan hands them over:
+//
+//   - an ANF equation is its term count, then per term its degree and
+//     variables, in canonical order;
+//   - a clause is its length plus one, then its literals;
+//   - XOR rows (right-hand side, length, variables) are held in xors until
+//     end, since a formula keeps them apart from its clauses.
+//
+// end closes the stream with a 0, which no equation or clause starts
+// with, then the XOR rows behind their count, then the variable count and
+// the equation or clause count: the totals a scan knows only at the end.
 type keyEncoder struct {
-	h   hash.Hash
-	buf []byte
+	h     hash.Hash
+	buf   []byte
+	xors  []byte
+	nxors int
+	// count totals the equations or clauses scanned; numVars is one more
+	// than the largest ANF variable the equations name.
+	count, numVars int
+}
+
+func newKeyEncoder() *keyEncoder {
+	return &keyEncoder{h: sha256.New(), buf: make([]byte, 0, 1024)}
 }
 
 func (e *keyEncoder) uvarint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x); e.spill() }
 func (e *keyEncoder) varint(x int64)   { e.buf = binary.AppendVarint(e.buf, x); e.spill() }
 
-// spill hands the buffer to the hash once it is nearly full.
+// spill hands the buffer to the hash once it is half full, so the next
+// record, which the callers append whole, seldom outgrows it.
 func (e *keyEncoder) spill() {
-	if len(e.buf) > cap(e.buf)-binary.MaxVarintLen64 {
+	if len(e.buf) >= cap(e.buf)/2 {
 		e.h.Write(e.buf)
 		e.buf = e.buf[:0]
 	}
@@ -82,57 +122,55 @@ func (e *keyEncoder) sum() []byte {
 	return e.h.Sum(nil)
 }
 
-// system encodes an ANF system: the tag, NumVars, the equation count,
-// then per equation its term count and per term its degree and variables,
-// all in the canonical order the parser leaves them in.
-func (e *keyEncoder) system(sys *anf.System) {
-	e.uvarint(tagANF)
-	e.uvarint(uint64(sys.NumVars()))
-	e.uvarint(uint64(sys.Len()))
-	for i := 0; i < sys.RawLen(); i++ {
-		p := sys.At(i)
-		if p.IsZero() {
-			continue
+// equation encodes one ANF equation.
+func (e *keyEncoder) equation(p anf.Poly) {
+	e.count++
+	b := binary.AppendUvarint(e.buf, uint64(p.NumTerms()))
+	for _, t := range p.Terms() {
+		vs := t.Vars()
+		b = binary.AppendUvarint(b, uint64(len(vs)))
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, uint64(v))
 		}
-		b := binary.AppendUvarint(e.buf, uint64(p.NumTerms()))
-		for _, t := range p.Terms() {
-			vs := t.Vars()
-			b = binary.AppendUvarint(b, uint64(len(vs)))
-			for _, v := range vs {
-				b = binary.AppendUvarint(b, uint64(v))
-			}
+		if len(vs) > 0 {
+			e.numVars = max(e.numVars, int(vs[len(vs)-1])+1)
 		}
-		e.buf = b
-		e.spill()
+	}
+	e.buf = b
+	e.spill()
+}
+
+// clause encodes one clause.
+func (e *keyEncoder) clause(c cnf.Clause) {
+	e.count++
+	b := binary.AppendUvarint(e.buf, uint64(len(c))+1)
+	for _, l := range c {
+		b = binary.AppendUvarint(b, uint64(l))
+	}
+	e.buf = b
+	e.spill()
+}
+
+// xor holds one XOR row back for end.
+func (e *keyEncoder) xor(x cnf.XorClause) {
+	e.nxors++
+	rhs := byte(0)
+	if x.RHS {
+		rhs = 1
+	}
+	e.xors = binary.AppendUvarint(append(e.xors, rhs), uint64(len(x.Vars)))
+	for _, v := range x.Vars {
+		e.xors = binary.AppendUvarint(e.xors, uint64(v))
 	}
 }
 
-// formula encodes a CNF formula: the tag, NumVars, the clauses in order
-// (length, then literals), then the XOR rows in order (right-hand side,
-// length, variables).
-func (e *keyEncoder) formula(f *cnf.Formula) {
-	e.uvarint(tagDIMACS)
-	e.uvarint(uint64(f.NumVars))
-	e.uvarint(uint64(len(f.Clauses)))
-	for _, c := range f.Clauses {
-		b := binary.AppendUvarint(e.buf, uint64(len(c)))
-		for _, l := range c {
-			b = binary.AppendUvarint(b, uint64(l))
-		}
-		e.buf = b
-		e.spill()
-	}
-	e.uvarint(uint64(len(f.Xors)))
-	for _, x := range f.Xors {
-		rhs := byte(0)
-		if x.RHS {
-			rhs = 1
-		}
-		b := binary.AppendUvarint(append(e.buf, rhs), uint64(len(x.Vars)))
-		for _, v := range x.Vars {
-			b = binary.AppendUvarint(b, uint64(v))
-		}
-		e.buf = b
-		e.spill()
-	}
+// end writes the terminator and the totals.
+func (e *keyEncoder) end(numVars int) {
+	e.uvarint(0)
+	e.uvarint(uint64(e.nxors))
+	e.h.Write(e.buf)
+	e.h.Write(e.xors)
+	e.buf = e.buf[:0]
+	e.uvarint(uint64(numVars))
+	e.uvarint(uint64(e.count))
 }

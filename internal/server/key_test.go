@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -137,10 +138,18 @@ func textKey(req Request) (string, bool) {
 		return "", false
 	}
 	var canon strings.Builder
-	if jb.sys != nil {
-		_ = anf.WriteSystem(&canon, jb.sys)
+	if jb.format == tagANF {
+		sys, err := anf.ReadSystem(strings.NewReader(req.Input))
+		if err != nil {
+			return "", false
+		}
+		_ = anf.WriteSystem(&canon, sys)
 	} else {
-		_ = cnf.WriteDimacs(&canon, jb.form)
+		f, err := cnf.ReadDimacs(strings.NewReader(req.Input))
+		if err != nil {
+			return "", false
+		}
+		_ = cnf.WriteDimacs(&canon, f)
 	}
 	workers := req.Workers
 	if jb.kind != kindCube {
@@ -337,4 +346,156 @@ func TestConversionWaitsForMiss(t *testing.T) {
 	if jb.sys == nil || jb.sys.Len() == 0 || jb.formText != "" {
 		t.Fatalf("prepare left sys=%v formText=%q", jb.sys, jb.formText)
 	}
+}
+
+// refKey is the reference for the streamed key: the encoder cacheKey used
+// while the key was computed from a built input, walking the System or
+// Formula the readers return, in the record layout the scan streams.
+func refKey(jb *job, sys *anf.System, f *cnf.Formula) string {
+	e := newKeyEncoder()
+	e.knobs(jb)
+	if sys != nil {
+		e.system(sys)
+	} else {
+		e.formula(f)
+	}
+	return hex.EncodeToString(e.sum())
+}
+
+// system encodes an ANF system: the tag, per equation its term count and
+// per term its degree and variables, in the canonical order the parser
+// leaves them in, a 0, no XOR rows, NumVars and the equation count.
+func (e *keyEncoder) system(sys *anf.System) {
+	e.uvarint(tagANF)
+	for i := 0; i < sys.RawLen(); i++ {
+		p := sys.At(i)
+		if p.IsZero() {
+			continue
+		}
+		b := binary.AppendUvarint(e.buf, uint64(p.NumTerms()))
+		for _, t := range p.Terms() {
+			vs := t.Vars()
+			b = binary.AppendUvarint(b, uint64(len(vs)))
+			for _, v := range vs {
+				b = binary.AppendUvarint(b, uint64(v))
+			}
+		}
+		e.buf = b
+		e.spill()
+	}
+	e.uvarint(0)
+	e.uvarint(0)
+	e.uvarint(uint64(sys.NumVars()))
+	e.uvarint(uint64(sys.Len()))
+}
+
+// formula encodes a CNF formula: the tag, the clauses in order (length
+// plus one, then literals), a 0, the XOR row count and the rows in order
+// (right-hand side, length, variables), NumVars and the clause count.
+func (e *keyEncoder) formula(f *cnf.Formula) {
+	e.uvarint(tagDIMACS)
+	for _, c := range f.Clauses {
+		b := binary.AppendUvarint(e.buf, uint64(len(c))+1)
+		for _, l := range c {
+			b = binary.AppendUvarint(b, uint64(l))
+		}
+		e.buf = b
+		e.spill()
+	}
+	e.uvarint(0)
+	e.uvarint(uint64(len(f.Xors)))
+	for _, x := range f.Xors {
+		rhs := byte(0)
+		if x.RHS {
+			rhs = 1
+		}
+		b := binary.AppendUvarint(append(e.buf, rhs), uint64(len(x.Vars)))
+		for _, v := range x.Vars {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+		e.buf = b
+		e.spill()
+	}
+	e.uvarint(uint64(f.NumVars))
+	e.uvarint(uint64(len(f.Clauses)))
+}
+
+// assertScanKey checks parseJob's scan of one input against its reader:
+// the request fails exactly when ReadSystem or ReadDimacs rejects the text
+// (or it is blank, or an ANF text without equations), with the reader's
+// error text, and otherwise its key equals refKey over what the reader
+// built.
+func assertScanKey(t *testing.T, format, input string) {
+	t.Helper()
+	req := Request{Format: format, Input: input, Mode: "solve"}
+	jb, err := parseJob(req)
+	var want string
+	var sys *anf.System
+	var f *cnf.Formula
+	var readErr error
+	if format == "anf" {
+		sys, readErr = anf.ReadSystem(strings.NewReader(input))
+	} else {
+		f, readErr = cnf.ReadDimacs(strings.NewReader(input))
+	}
+	switch {
+	case strings.TrimSpace(input) == "":
+		want = "empty input"
+	case readErr != nil && format == "anf":
+		want = "bad ANF input: " + readErr.Error()
+	case readErr != nil:
+		want = "bad DIMACS input: " + readErr.Error()
+	case sys != nil && sys.Len() == 0:
+		want = "ANF input has no equations"
+	}
+	if want != "" || err != nil {
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s %q: parseJob error %v, want %q", format, input, err, want)
+		}
+		return
+	}
+	if ref := refKey(jb, sys, f); jb.key != ref {
+		t.Fatalf("%s %q: scanned key %.12s, key of the read input %.12s", format, input, jb.key, ref)
+	}
+}
+
+// FuzzScanKeyANF checks the ANF scan that keys a request against
+// ReadSystem: the same inputs accepted, the same error text, and on
+// accepted input the key of the system ReadSystem builds.
+func FuzzScanKeyANF(f *testing.F) {
+	for _, seed := range []string{
+		easyANF,
+		"# ANF system\nx0 + x16 + x17 + x51 + 1\nx1*x2 + x3\n",
+		"x3*x1 + x1*x3*x3 + x2\nx5 + x5\n0\n1 + 1\nx2 ⊕ X1\n",
+		"  x1 *　x2\r\n\nc x9\ncx1\n# x7\n",
+		"x1 +\n",
+		"x16777217\n",
+		"\xff\xfex1\n",
+		"x1 + x1\n",
+		"\n\t\n",
+		"1\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) { assertScanKey(t, "anf", input) })
+}
+
+// FuzzScanKeyDIMACS checks the DIMACS scan that keys a request against
+// ReadDimacs in the same way.
+func FuzzScanKeyDIMACS(f *testing.F) {
+	for _, seed := range []string{
+		"p cnf 3 2\n1 -2 0\n2 3 0\n",
+		"c note\np cnf 4 3\n1\n-2 0\nx1 -3 4 0\n0\n",
+		"x1 2 0 3 0\nx0\nx\n",
+		"p cnf 2 1\n1 3 0\n",
+		"1 2\n",
+		"1 2\nx1 2 0\n",
+		"-9223372036854775808 0\n",
+		"p cnf 99999999999999999999 1\n",
+		"1 -2 0\n",
+		"\xff 1 0\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) { assertScanKey(t, "dimacs", input) })
 }

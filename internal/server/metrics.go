@@ -22,6 +22,12 @@ var latencyBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 // few milliseconds even on large residues.
 var routeBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
+// waitBuckets are the upper bounds (seconds) of the queue-wait and
+// cache-hit histograms: a hit takes well under a millisecond to a few,
+// and a job waits from microseconds on an idle pool to job times behind a
+// full queue.
+var waitBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+
 // Metrics is the daemon's plain-text counter registry. All fields are
 // safe for concurrent use; rendering takes a consistent-enough snapshot
 // (counters are monotonic, the gauge is read last).
@@ -50,6 +56,8 @@ type Metrics struct {
 	routed  map[string]int64 // per-fragment router verdicts (2sat/horn/antihorn/xor)
 	latency histogram        // seconds
 	route   histogram        // nanoseconds
+	wait    histogram        // seconds from admission to worker pickup
+	hit     histogram        // seconds a cache hit spends in the handler
 }
 
 // NewMetrics returns an empty registry.
@@ -59,6 +67,8 @@ func NewMetrics() *Metrics {
 		routed:  make(map[string]int64),
 		latency: newHistogram(latencyBuckets),
 		route:   newHistogram(routeBuckets),
+		wait:    newHistogram(waitBuckets),
+		hit:     newHistogram(waitBuckets),
 	}
 }
 
@@ -143,6 +153,20 @@ func (m *Metrics) ObserveLatency(d time.Duration) {
 	m.mu.Unlock()
 }
 
+// ObserveQueueWait records how long one job waited in the queue.
+func (m *Metrics) ObserveQueueWait(d time.Duration) {
+	m.mu.Lock()
+	m.wait.observe(d.Seconds())
+	m.mu.Unlock()
+}
+
+// ObserveHit records one cache hit's time in the handler.
+func (m *Metrics) ObserveHit(d time.Duration) {
+	m.mu.Lock()
+	m.hit.observe(d.Seconds())
+	m.mu.Unlock()
+}
+
 // Render writes the registry in the Prometheus text exposition format
 // (counters, gauges and cumulative histograms) — stdlib-only, scrapable, and
 // greppable by the smoke tests.
@@ -172,6 +196,8 @@ func (m *Metrics) Render() string {
 	renderLabelled(&b, "bosphorusd_routed_total", "fragment", m.routed)
 	m.route.render(&b, "bosphorusd_route_ns")
 	m.latency.render(&b, "bosphorusd_solve_seconds")
+	m.wait.render(&b, "bosphorusd_queue_wait_seconds")
+	m.hit.render(&b, "bosphorusd_hit_seconds")
 	m.mu.Unlock()
 	return b.String()
 }

@@ -75,6 +75,50 @@ bosphorusd_solve_seconds_bucket{le="60"} 4
 bosphorusd_solve_seconds_bucket{le="+Inf"} 5
 bosphorusd_solve_seconds_sum 91.246567
 bosphorusd_solve_seconds_count 5
+# TYPE bosphorusd_queue_wait_seconds histogram
+bosphorusd_queue_wait_seconds_bucket{le="0.0001"} 1
+bosphorusd_queue_wait_seconds_bucket{le="0.00025"} 1
+bosphorusd_queue_wait_seconds_bucket{le="0.0005"} 1
+bosphorusd_queue_wait_seconds_bucket{le="0.001"} 1
+bosphorusd_queue_wait_seconds_bucket{le="0.0025"} 1
+bosphorusd_queue_wait_seconds_bucket{le="0.005"} 2
+bosphorusd_queue_wait_seconds_bucket{le="0.01"} 2
+bosphorusd_queue_wait_seconds_bucket{le="0.025"} 2
+bosphorusd_queue_wait_seconds_bucket{le="0.05"} 2
+bosphorusd_queue_wait_seconds_bucket{le="0.1"} 2
+bosphorusd_queue_wait_seconds_bucket{le="0.25"} 2
+bosphorusd_queue_wait_seconds_bucket{le="0.5"} 2
+bosphorusd_queue_wait_seconds_bucket{le="1"} 2
+bosphorusd_queue_wait_seconds_bucket{le="2.5"} 3
+bosphorusd_queue_wait_seconds_bucket{le="5"} 3
+bosphorusd_queue_wait_seconds_bucket{le="10"} 3
+bosphorusd_queue_wait_seconds_bucket{le="30"} 3
+bosphorusd_queue_wait_seconds_bucket{le="60"} 3
+bosphorusd_queue_wait_seconds_bucket{le="+Inf"} 4
+bosphorusd_queue_wait_seconds_sum 77.00304
+bosphorusd_queue_wait_seconds_count 4
+# TYPE bosphorusd_hit_seconds histogram
+bosphorusd_hit_seconds_bucket{le="0.0001"} 1
+bosphorusd_hit_seconds_bucket{le="0.00025"} 1
+bosphorusd_hit_seconds_bucket{le="0.0005"} 2
+bosphorusd_hit_seconds_bucket{le="0.001"} 2
+bosphorusd_hit_seconds_bucket{le="0.0025"} 3
+bosphorusd_hit_seconds_bucket{le="0.005"} 3
+bosphorusd_hit_seconds_bucket{le="0.01"} 3
+bosphorusd_hit_seconds_bucket{le="0.025"} 3
+bosphorusd_hit_seconds_bucket{le="0.05"} 3
+bosphorusd_hit_seconds_bucket{le="0.1"} 3
+bosphorusd_hit_seconds_bucket{le="0.25"} 3
+bosphorusd_hit_seconds_bucket{le="0.5"} 3
+bosphorusd_hit_seconds_bucket{le="1"} 3
+bosphorusd_hit_seconds_bucket{le="2.5"} 3
+bosphorusd_hit_seconds_bucket{le="5"} 3
+bosphorusd_hit_seconds_bucket{le="10"} 3
+bosphorusd_hit_seconds_bucket{le="30"} 3
+bosphorusd_hit_seconds_bucket{le="60"} 3
+bosphorusd_hit_seconds_bucket{le="+Inf"} 3
+bosphorusd_hit_seconds_sum 0.0016799999999999999
+bosphorusd_hit_seconds_count 3
 `
 
 func TestMetricsRenderGolden(t *testing.T) {
@@ -110,6 +154,13 @@ func TestMetricsRenderGolden(t *testing.T) {
 	m.ObserveLatency(1234567 * time.Microsecond)
 	m.ObserveLatency(90 * time.Second)
 	m.ObserveLatency(0)
+	m.ObserveQueueWait(40 * time.Microsecond)
+	m.ObserveQueueWait(3 * time.Millisecond)
+	m.ObserveQueueWait(2 * time.Second)
+	m.ObserveQueueWait(75 * time.Second)
+	m.ObserveHit(80 * time.Microsecond)
+	m.ObserveHit(400 * time.Microsecond)
+	m.ObserveHit(1200 * time.Microsecond)
 	if got := m.Render(); got != metricsGolden {
 		t.Errorf("Render drifted from the golden text:\n got:\n%s\nwant:\n%s", got, metricsGolden)
 	}

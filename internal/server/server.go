@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
@@ -176,13 +178,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // worker owns one pool slot: pull a job, run it under the job's context,
-// publish the response, repeat until the queue closes. A job that panics
-// fails alone: its request gets an error, nothing is cached, and the
-// worker goes on to the next job.
+// publish the response, repeat until the queue closes. A job that panics,
+// or answers SAT with a model that fails its input, fails alone: its
+// request gets an error, nothing is cached, and the worker goes on to the
+// next job. A completed answer is cached as the body a hit sends.
 func (s *Server) worker() {
 	defer s.pool.Done()
 	for jb := range s.queue {
 		s.metrics.QueueDepth.Add(-1)
+		s.metrics.ObserveQueueWait(time.Since(jb.admitted))
 		start := time.Now()
 		resp, err := s.runJob(jb)
 		switch {
@@ -192,7 +196,9 @@ func (s *Server) worker() {
 			s.metrics.JobsCanceled.Add(1)
 		default:
 			s.metrics.JobsCompleted.Add(1)
-			s.cache.Put(jb.key, resp)
+			if s.cache.enabled() {
+				s.cache.Put(jb.key, hitBody(resp))
+			}
 		}
 		s.metrics.ObserveLatency(time.Since(start))
 		if err != nil {
@@ -205,30 +211,49 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob converts the job's input where its mode needs it and runs it,
-// turning a panic anywhere in the conversion or solve into an error that
-// carries the panic value and stack.
+// runJob builds the job's input and the conversions its mode needs, runs
+// it, and checks a SAT answer's model on the input. A panic anywhere in
+// those steps becomes an error that carries the panic value and stack.
 func (s *Server) runJob(jb *job) (resp *Response, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			resp, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	jb.prepare()
-	if jb.kind == kindCube && s.cfg.Role == RoleCoordinator {
-		return s.runCubeCoordinator(jb), nil
+	if err := jb.prepare(); err != nil {
+		return nil, err
 	}
-	return jb.run(s.cfg.Engine, s.metrics), nil
+	if jb.kind == kindCube && s.cfg.Role == RoleCoordinator {
+		resp = s.runCubeCoordinator(jb)
+	} else {
+		resp = jb.run(s.cfg.Engine, s.metrics)
+	}
+	if resp.Status == "SAT" {
+		if err := jb.checkModel(resp.Solution); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// hitBody encodes the answer a cache hit sends: resp marked cached, in the
+// bytes writeJSON writes.
+func hitBody(resp *Response) []byte {
+	hit := *resp // shallow copy; responses are never mutated
+	hit.Cached = true
+	var b bytes.Buffer
+	_ = json.NewEncoder(&b).Encode(&hit) // a Response holds nothing encoding/json rejects
+	return b.Bytes()
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req Request
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readRequest(w, r)
+	if err != nil {
 		s.metrics.JobsFailed.Add(1)
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -243,11 +268,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if hit, ok := s.cache.Get(jb.key); ok {
+	if body, ok := s.cache.Get(jb.key); ok {
 		s.metrics.CacheHits.Add(1)
-		cached := *hit // shallow copy; cached responses are never mutated
-		cached.Cached = true
-		writeJSON(w, http.StatusOK, &cached)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body) // a failed write is the client's loss; the answer stays cached
+		s.metrics.ObserveHit(time.Since(start))
 		return
 	}
 
@@ -273,6 +301,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
+	jb.admitted = time.Now()
 	select {
 	case s.queue <- jb:
 		s.mu.RUnlock()

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/anf"
 	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/sat"
 	"repro/internal/satgen"
 )
 
@@ -406,12 +410,12 @@ func TestHealthzAndDrain(t *testing.T) {
 
 func TestLRUCacheEviction(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", &Response{Status: "A"})
-	c.Put("b", &Response{Status: "B"})
+	c.Put("a", []byte("A"))
+	c.Put("b", []byte("B"))
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted early")
 	}
-	c.Put("c", &Response{Status: "C"}) // evicts b (a was just touched)
+	c.Put("c", []byte("C")) // evicts b (a was just touched)
 	if _, ok := c.Get("b"); ok {
 		t.Error("b not evicted")
 	}
@@ -513,5 +517,144 @@ func TestVerifyPortfolioRejected(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// checkModel evaluates a SAT model on the client's input as parsed, for
+// each input form: the unique model passes, and flipping any one bit of
+// it fails.
+func TestCheckModelFlippedBit(t *testing.T) {
+	for _, tc := range []struct{ format, input string }{
+		{"anf", "x0 + 1\nx1\nx0*x2 + 1\n"},
+		{"dimacs", "p cnf 3 3\n1 0\n-2 0\n1 3 0\n-1 3 0\n"},
+	} {
+		for _, mode := range []string{"solve", "portfolio"} {
+			jb, err := parseJob(Request{Format: tc.format, Input: tc.input, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jb.prepare(); err != nil {
+				t.Fatal(err)
+			}
+			model := []bool{true, false, true}
+			if err := jb.checkModel(model); err != nil {
+				t.Fatalf("%s %s: the model is rejected: %v", tc.format, mode, err)
+			}
+			for i := range model {
+				flipped := append([]bool(nil), model...)
+				flipped[i] = !flipped[i]
+				if jb.checkModel(flipped) == nil {
+					t.Errorf("%s %s: model %v with bit %d flipped passes", tc.format, mode, flipped, i)
+				}
+			}
+		}
+	}
+}
+
+// A SAT answer whose model fails the input takes the path of a contained
+// panic: HTTP 500, a failed job, a log line with the key prefix, nothing
+// cached. The false model is planted where a node's result settles a
+// coordinator job, past the check record makes.
+func TestFalseModelFailsJob(t *testing.T) {
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	srv, ts := newTestServer(t, Config{Workers: 1, Role: RoleCoordinator, Log: log.New(lockedWriter{&logMu, &logs}, "", 0)})
+	f := satgen.Pigeonhole(4, 4).Formula
+	req := Request{Format: "dimacs", Input: dimacsOf(t, f), Mode: "cube", MaxCubes: 8, TimeoutMS: 30000}
+	codes := make(chan int, 1)
+	go func() {
+		resp, _ := postJob(t, ts.URL, req)
+		codes <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		srv.cubes.mu.Lock()
+		for _, dj := range srv.cubes.jobs {
+			dj.finishLocked(sat.Sat, make([]bool, f.NumVars))
+		}
+		planted := len(srv.cubes.jobs) > 0
+		srv.cubes.mu.Unlock()
+		if planted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the cube job was never parked")
+		}
+	}
+	if code := <-codes; code != http.StatusInternalServerError {
+		t.Fatalf("a false SAT model answered %d, want 500", code)
+	}
+	jb, err := parseJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed, cached := srv.Metrics().JobsFailed.Load(), srv.cache.Len(); failed != 1 || cached != 0 {
+		t.Errorf("failed=%d cached=%d, want 1 and 0", failed, cached)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if want := "key=" + jb.key[:12] + " failed"; !strings.Contains(logs.String(), want) {
+		t.Errorf("log %q lacks %q", logs.String(), want)
+	}
+}
+
+// lockedWriter serializes writes to w.
+type lockedWriter struct {
+	mu *sync.Mutex
+	w  io.Writer
+}
+
+func (l lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
+// A cache hit sends the bytes writeJSON writes for the cached copy of the
+// first answer, with its length, for every mode and input form.
+func TestHitBodyMatchesWriteJSON(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	php := hardDimacs(t, 3)
+	for _, req := range []Request{
+		{Format: "anf", Input: easyANF},
+		{Format: "anf", Input: easyANF, Mode: "solve", Verify: true},
+		{Format: "dimacs", Input: "p cnf 3 2\n1 -2 0\n2 3 0\n", Mode: "solve"},
+		{Format: "dimacs", Input: php, Mode: "portfolio"},
+		{Format: "dimacs", Input: php, Mode: "cube", MaxCubes: 4, Proof: true},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := func() (*http.Response, []byte) {
+			resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp, raw
+		}
+		_, first := post()
+		var cached Response
+		if err := json.Unmarshal(first, &cached); err != nil {
+			t.Fatalf("%+v: %v: %s", req, err, first)
+		}
+		cached.Cached = true
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, &cached)
+		resp, hit := post()
+		if !bytes.Equal(hit, rec.Body.Bytes()) {
+			t.Errorf("%+v: hit body\n%s\nwant\n%s", req, hit, rec.Body.Bytes())
+		}
+		if ct, cl := resp.Header.Get("Content-Type"), resp.Header.Get("Content-Length"); ct != "application/json" || cl != strconv.Itoa(len(hit)) {
+			t.Errorf("%+v: Content-Type %q, Content-Length %q for %d bytes", req, ct, cl, len(hit))
+		}
+	}
+	golden := "{\"status\":\"SAT\",\"solution\":[true,false],\"facts\":{\"sat\":1,\"xl\":2},\"anf\":\"x1 \\u003c\\u003e\\n\",\"elapsed_ms\":3,\"cached\":true,\"routed_via\":\"2sat\"}\n"
+	if got := string(hitBody(&Response{Status: "SAT", Solution: []bool{true, false}, Facts: map[string]int{"xl": 2, "sat": 1}, ANF: "x1 <>\n", ElapsedMS: 3, RoutedVia: "2sat"})); got != golden {
+		t.Errorf("hitBody = %q, want %q", got, golden)
 	}
 }
