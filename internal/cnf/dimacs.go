@@ -85,8 +85,8 @@ func ScanDimacs(r io.Reader, clause func(Clause), xor func(XorClause)) (numVars 
 			if tok, i = nextField(line, i); tok == nil {
 				break
 			}
-			d, ok := atoi(tok)
-			if !ok {
+			d, err := strconv.Atoi(string(tok))
+			if err != nil {
 				return 0, fmt.Errorf("dimacs line %d: bad literal %q", lineNo, tok)
 			}
 			if d == 0 {
@@ -188,32 +188,6 @@ func nextField(b []byte, i int) ([]byte, int) {
 }
 
 func asciiSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
-
-// atoi parses a literal as strconv.Atoi does. Short plain numbers, which
-// are all real literals, take a loop over the bytes; anything else goes
-// to strconv.Atoi for the same value or the same rejection.
-func atoi(tok []byte) (int, bool) {
-	neg := tok[0] == '-'
-	digits := tok
-	if neg || tok[0] == '+' {
-		digits = tok[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		d, err := strconv.Atoi(string(tok))
-		return d, err == nil
-	}
-	d := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d = 10*d + int(c-'0')
-	}
-	if neg {
-		d = -d
-	}
-	return d, true
-}
 
 // WriteDimacs writes the formula in DIMACS format, XOR clauses as "x" lines.
 func WriteDimacs(w io.Writer, f *Formula) error {

@@ -325,7 +325,9 @@ func TestConversionWaitsForMiss(t *testing.T) {
 	if jb.form != nil || jb.formText != "" {
 		t.Fatal("parseJob converted an ANF cube job")
 	}
-	jb.prepare()
+	if err := jb.prepare(); err != nil {
+		t.Fatal(err)
+	}
 	want, _ := conv.ANFToCNF(jb.sys, conv.DefaultOptions())
 	var text strings.Builder
 	if err := cnf.WriteDimacs(&text, want); err != nil {
@@ -342,7 +344,9 @@ func TestConversionWaitsForMiss(t *testing.T) {
 	if jb.sys != nil {
 		t.Fatal("parseJob converted a DIMACS solve job")
 	}
-	jb.prepare()
+	if err := jb.prepare(); err != nil {
+		t.Fatal(err)
+	}
 	if jb.sys == nil || jb.sys.Len() == 0 || jb.formText != "" {
 		t.Fatalf("prepare left sys=%v formText=%q", jb.sys, jb.formText)
 	}
