@@ -49,10 +49,15 @@ func (l Lit) Dimacs() int {
 	return d
 }
 
-// LitFromDimacs converts a nonzero DIMACS literal to a Lit.
+// LitFromDimacs converts a nonzero DIMACS literal to a Lit. A literal
+// whose variable does not fit Lit's encoding (|d| > 2^31) is an error:
+// narrowing it would alias a small variable.
 func LitFromDimacs(d int) (Lit, error) {
 	if d == 0 {
 		return 0, fmt.Errorf("cnf: DIMACS literal 0")
+	}
+	if int64(d) > 1<<31 || int64(d) < -1<<31 {
+		return 0, fmt.Errorf("cnf: DIMACS literal %d out of range (max variable %d)", d, int64(1)<<31)
 	}
 	if d < 0 {
 		return MkLit(Var(-d-1), true), nil

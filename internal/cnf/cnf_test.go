@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,6 +36,19 @@ func TestLitFromDimacs(t *testing.T) {
 	}
 	if _, err := LitFromDimacs(0); err == nil {
 		t.Fatal("LitFromDimacs(0) should fail")
+	}
+	// The largest variables Lit encodes, on both signs.
+	for _, d := range []int{1 << 31, -1 << 31} {
+		l, err := LitFromDimacs(d)
+		if err != nil || l.Dimacs() != d {
+			t.Fatalf("LitFromDimacs(%d) = %v, %v", d, l, err)
+		}
+	}
+	// One past them would wrap onto small variables (2^31+2 onto 2).
+	for _, d := range []int{1<<31 + 2, -(1<<31 + 1), math.MaxInt, math.MinInt} {
+		if l, err := LitFromDimacs(d); err == nil {
+			t.Fatalf("LitFromDimacs(%d) = %v, want an error", d, l)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cnf"
 	"repro/internal/gf2"
@@ -67,23 +69,20 @@ func CheckText(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<24)
-	sc.Split(bufio.ScanWords)
+	sc.Split(scanWords)
 	var lits []cnf.Lit
 	kind := byte('a')
 	inClause := false
 	for sc.Scan() {
-		tok := sc.Text()
-		switch {
-		case tok == "d" && !inClause:
-			kind = 'd'
-			inClause = true
-			continue
-		case tok == "x" && !inClause:
-			kind = 'x'
+		tok := sc.Bytes()
+		if !inClause && len(tok) == 1 && (tok[0] == 'd' || tok[0] == 'x') {
+			kind = tok[0]
 			inClause = true
 			continue
 		}
-		d, err := strconv.Atoi(tok)
+		// string(tok) does not escape (strconv's errors copy their input),
+		// so a short token is converted on the stack.
+		d, err := strconv.Atoi(string(tok))
 		if err != nil {
 			return nil, fmt.Errorf("proof: step %d: bad token %q", c.res.Steps+1, tok)
 		}
@@ -109,10 +108,49 @@ func CheckText(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if inClause || len(lits) > 0 {
+	if inClause {
 		return nil, fmt.Errorf("proof: truncated final clause")
 	}
 	return c.res, nil
+}
+
+// scanWords is bufio.ScanWords with an ASCII fast path: it splits at the
+// same Unicode spaces, but decodes a rune only at a byte >= 0x80.
+func scanWords(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	start := 0
+	for start < len(data) {
+		w := spaceWidth(data[start:])
+		if w == 0 {
+			break
+		}
+		start += w
+	}
+	for i := start; i < len(data); i++ {
+		if b := data[i]; b <= ' ' || b >= utf8.RuneSelf {
+			// A byte inside a multi-byte rune never starts a space rune, so
+			// stepping one byte at a time finds the spaces ScanWords finds.
+			if w := spaceWidth(data[i:]); w > 0 {
+				return i + w, data[start:i], nil
+			}
+		}
+	}
+	if atEOF && len(data) > start {
+		return len(data), data[start:], nil
+	}
+	return start, nil, nil
+}
+
+// spaceWidth returns the width of the space rune b starts with, or 0 when
+// b does not start with one. Invalid or truncated UTF-8 is not a space.
+func spaceWidth(b []byte) int {
+	r, w := rune(b[0]), 1
+	if r >= utf8.RuneSelf {
+		r, w = utf8.DecodeRune(b)
+	}
+	if unicode.IsSpace(r) {
+		return w
+	}
+	return 0
 }
 
 // CheckBinary verifies a binary-form DRAT proof.
@@ -149,6 +187,11 @@ func CheckBinary(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
 			if u < 2 {
 				return nil, fmt.Errorf("proof: step %d: bad literal code %d", c.res.Steps+1, u)
 			}
+			if u-2 > math.MaxUint32 {
+				// No cnf.Lit holds it, so no header covers it; narrowing
+				// would alias a small variable.
+				return nil, fmt.Errorf("proof: step %d: variable %d beyond formula header", c.res.Steps+1, (u-2)>>1+1)
+			}
 			lits = append(lits, cnf.Lit(u-2))
 		}
 		if err := c.step(tag, lits); err != nil {
@@ -160,10 +203,10 @@ func CheckBinary(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
 	}
 }
 
-func readUvarint(br *bufio.Reader) (uint32, error) {
-	var v uint32
-	var shift uint
-	for {
+// readUvarint reads one ULEB128 value of at most five bytes.
+func readUvarint(br *bufio.Reader) (uint64, error) {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
 		b, err := br.ReadByte()
 		if err != nil {
 			return 0, err
@@ -171,30 +214,46 @@ func readUvarint(br *bufio.Reader) (uint32, error) {
 		if shift >= 35 {
 			return 0, fmt.Errorf("varint overflow")
 		}
-		v |= uint32(b&0x7f) << shift
+		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return v, nil
 		}
-		shift += 7
 	}
 }
 
-// chkClause is one active database clause.
-type chkClause struct {
-	lits []cnf.Lit // lits[0], lits[1] are the watched pair (len >= 2)
-	key  string
-}
-
 // checker holds the streaming RUP state: a persistent top-level
-// assignment, a watched-literal clause database keyed for deletions, and
-// the GF(2) basis of the formula's XOR rows.
+// assignment, the clause database, and the GF(2) basis of the formula's
+// XOR rows.
+//
+// The database is one flat arena of uint32 words, and a clause is known by
+// the offset of its first word, its ref:
+//
+//	arena[ref]      header: literal count << 1, low bit set once deleted
+//	arena[ref+1]    ref of the previous live clause with the same
+//	                literal-set hash, 0 for none
+//	arena[ref+2:]   the literals; the first two are watched
+//
+// arena[0] is padding, so no clause has ref 0. A deletion only sets the
+// header bit: a watch list drops the clause when it next reaches it.
 type checker struct {
-	nVars   int
-	assigns []int8 // 0 undef, 1 true, -1 false
-	trail   []cnf.Lit
-	qhead   int
-	watches [][]*chkClause
-	byKey   map[string][]*chkClause
+	nVars int
+	vals  []int8 // per literal: 1 true, -1 false, 0 unassigned
+	trail []cnf.Lit
+	qhead int
+
+	arena []uint32
+	// watches[l] lists the clauses watching l.Not(), the ones to visit
+	// when l becomes true.
+	watches [][]watch
+	// byHash maps a literal-set hash to its newest live clause; older
+	// ones with the same hash follow through the arena's link words.
+	byHash map[uint64]uint32
+	// stamp[l] == epoch marks l as a literal of the last normalized
+	// clause, which is how normalize finds duplicates and tautologies
+	// and how deletion compares a candidate's literals.
+	stamp []uint32
+	epoch uint32
+	norm  []cnf.Lit // normalize's output buffer
 
 	xbasis   map[int]*xrow // leading var -> reduced row
 	xwords   int
@@ -204,6 +263,18 @@ type checker struct {
 	res           *CheckResult
 }
 
+// watch is one watch-list entry. blocker is a literal of the clause: while
+// it is true the clause is satisfied, and the arena is not read.
+type watch struct {
+	ref     uint32
+	blocker cnf.Lit
+}
+
+const (
+	deletedBit = 1 // in a clause header
+	headerLen  = 2 // header and hash-link words before the literals
+)
+
 type xrow struct {
 	bits []uint64
 	rhs  bool
@@ -212,15 +283,29 @@ type xrow struct {
 func newChecker(f *cnf.Formula) (*checker, error) {
 	c := &checker{
 		nVars:   f.NumVars,
-		assigns: make([]int8, f.NumVars),
-		watches: make([][]*chkClause, 2*f.NumVars),
-		byKey:   map[string][]*chkClause{},
+		vals:    make([]int8, 2*f.NumVars),
+		arena:   make([]uint32, 1, 1<<10),
+		watches: make([][]watch, 2*f.NumVars),
+		byHash:  map[uint64]uint32{},
+		stamp:   make([]uint32, 2*f.NumVars),
 		xbasis:  map[int]*xrow{},
 		xwords:  gf2.Words(f.NumVars),
 		res:     &CheckResult{},
 	}
 	for _, cl := range f.Clauses {
-		lits, taut := normalizeLits(cl)
+		if !c.inHeader(cl) {
+			// A tautology is dropped before its literals meet the header.
+			sorted, taut := cl.Clone().Normalize()
+			if taut {
+				continue
+			}
+			for _, l := range sorted {
+				if int(l.Var()) >= c.nVars {
+					return nil, fmt.Errorf("proof: input formula: clause references variable %d beyond formula", int(l.Var())+1)
+				}
+			}
+		}
+		lits, taut := c.normalize(cl)
 		if taut {
 			continue
 		}
@@ -246,101 +331,131 @@ func newChecker(f *cnf.Formula) (*checker, error) {
 	return c, nil
 }
 
-// normalizeLits sorts and deduplicates a clause; taut reports a
-// complementary pair.
-func normalizeLits(in []cnf.Lit) ([]cnf.Lit, bool) {
-	lits := append([]cnf.Lit(nil), in...)
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
-	out := lits[:0]
-	for i, l := range lits {
-		if i > 0 && l == lits[i-1] {
-			continue
+// inHeader reports whether every literal's variable is below the header's
+// variable count.
+func (c *checker) inHeader(lits []cnf.Lit) bool {
+	for _, l := range lits {
+		if int(l.Var()) >= c.nVars {
+			return false
 		}
-		if i > 0 && l == lits[i-1]^1 {
+	}
+	return true
+}
+
+// normalize drops repeated literals from lits, keeping their order, and
+// reports a complementary pair as a tautology. It stamps each literal
+// instead of sorting; every literal must be within the header. The result
+// aliases a buffer the next call reuses.
+func (c *checker) normalize(lits []cnf.Lit) ([]cnf.Lit, bool) {
+	c.epoch++
+	if c.epoch == 0 {
+		// Wrapped around: stale stamps would read as current.
+		clear(c.stamp)
+		c.epoch = 1
+	}
+	out := c.norm[:0]
+	for _, l := range lits {
+		switch c.epoch {
+		case c.stamp[l]:
+			continue
+		case c.stamp[l.Not()]:
 			return nil, true
 		}
+		c.stamp[l] = c.epoch
 		out = append(out, l)
 	}
+	c.norm = out
 	return out, false
 }
 
-func clauseKey(sorted []cnf.Lit) string {
-	b := make([]byte, 0, 4*len(sorted))
-	for _, l := range sorted {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+// hashLits hashes a set of distinct literals independently of their order.
+func hashLits(lits []cnf.Lit) uint64 {
+	var h uint64
+	for _, l := range lits {
+		// splitmix64's finalizer spreads the small literal codes.
+		z := uint64(l) + 0x9e3779b97f4a7c15
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		h += z ^ z>>31
 	}
-	return string(b)
+	return h
 }
 
-func (c *checker) value(l cnf.Lit) int8 {
-	a := c.assigns[l.Var()]
-	if l.Neg() {
-		return -a
-	}
-	return a
+// assign makes l true.
+func (c *checker) assign(l cnf.Lit) {
+	c.vals[l] = 1
+	c.vals[l.Not()] = -1
+	c.trail = append(c.trail, l)
 }
 
 // assertTop assigns l true persistently. Returns false on conflict.
 func (c *checker) assertTop(l cnf.Lit) bool {
-	switch c.value(l) {
+	switch c.vals[l] {
 	case 1:
 		return true
 	case -1:
 		return false
 	}
-	if l.Neg() {
-		c.assigns[l.Var()] = -1
-	} else {
-		c.assigns[l.Var()] = 1
-	}
-	c.trail = append(c.trail, l)
+	c.assign(l)
 	return true
 }
 
 // propagate runs watched-literal unit propagation from qhead. It returns
 // false on conflict. Assignments made here are undone by undo (for RUP
 // probes) or kept (persistent, when called at top level).
+//
+//bosphorus:hotpath RUP-probe unit propagation over the clause arena
 func (c *checker) propagate() bool {
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead]
 		c.qhead++
-		// Clauses watching a literal l live in watches[l.Not()], so the
-		// clauses whose watch p.Not() just became false are in watches[p].
 		falsified := p.Not()
 		ws := c.watches[p]
-		kept := ws[:0]
+		kept := 0
+	visit:
 		for i := 0; i < len(ws); i++ {
-			cl := ws[i]
-			// Ensure the falsified literal is lits[1].
-			if cl.lits[0] == falsified {
-				cl.lits[0], cl.lits[1] = cl.lits[1], cl.lits[0]
-			}
-			if c.value(cl.lits[0]) == 1 {
-				kept = append(kept, cl)
+			w := ws[i]
+			if c.vals[w.blocker] == 1 {
+				ws[kept] = w
+				kept++
 				continue
 			}
-			// Look for a replacement watch.
-			moved := false
-			for k := 2; k < len(cl.lits); k++ {
-				if c.value(cl.lits[k]) != -1 {
-					cl.lits[1], cl.lits[k] = cl.lits[k], cl.lits[1]
-					c.watches[cl.lits[1].Not()] = append(c.watches[cl.lits[1].Not()], cl)
-					moved = true
-					break
+			hdr := c.arena[w.ref]
+			if hdr&deletedBit != 0 {
+				continue
+			}
+			lits := c.arena[w.ref+headerLen : w.ref+headerLen+hdr>>1]
+			// Ensure the falsified literal is lits[1].
+			if cnf.Lit(lits[0]) == falsified {
+				lits[0], lits[1] = lits[1], lits[0]
+			}
+			first := cnf.Lit(lits[0])
+			if first != w.blocker && c.vals[first] == 1 {
+				ws[kept] = watch{w.ref, first}
+				kept++
+				continue
+			}
+			// Look for a replacement watch. Its list is never ws: the
+			// replacement is not false, and p.Not() is.
+			for k := 2; k < len(lits); k++ {
+				if c.vals[lits[k]] != -1 {
+					lits[1], lits[k] = lits[k], lits[1]
+					to := cnf.Lit(lits[1]).Not()
+					c.watches[to] = append(c.watches[to], watch{w.ref, first})
+					continue visit
 				}
 			}
-			if moved {
-				continue
-			}
 			// Unit or conflict on lits[0].
-			kept = append(kept, cl)
-			if !c.assertTop(cl.lits[0]) {
-				kept = append(kept, ws[i+1:]...)
-				c.watches[p] = kept
+			ws[kept] = watch{w.ref, first}
+			kept++
+			if c.vals[first] == -1 {
+				kept += copy(ws[kept:], ws[i+1:])
+				c.watches[p] = ws[:kept]
 				return false
 			}
+			c.assign(first)
 		}
-		c.watches[p] = kept
+		c.watches[p] = ws[:kept]
 	}
 	return true
 }
@@ -348,23 +463,18 @@ func (c *checker) propagate() bool {
 // undo unassigns everything past mark (a RUP probe's assumptions and
 // their propagations).
 func (c *checker) undo(mark int) {
-	for i := len(c.trail) - 1; i >= mark; i-- {
-		c.assigns[c.trail[i].Var()] = 0
+	for _, l := range c.trail[mark:] {
+		c.vals[l] = 0
+		c.vals[l.Not()] = 0
 	}
 	c.trail = c.trail[:mark]
-	if c.qhead > mark {
-		c.qhead = mark
-	}
+	c.qhead = min(c.qhead, mark)
 }
 
 // install adds an accepted clause to the database, asserting units
-// persistently and detecting top-level conflicts.
+// persistently and detecting top-level conflicts. lits is normalized and
+// within the header; install reorders it.
 func (c *checker) install(lits []cnf.Lit) error {
-	for _, l := range lits {
-		if int(l.Var()) >= c.nVars {
-			return fmt.Errorf("clause references variable %d beyond formula", int(l.Var())+1)
-		}
-	}
 	if len(lits) == 0 {
 		c.contradictory = true
 		return nil
@@ -379,7 +489,7 @@ func (c *checker) install(lits []cnf.Lit) error {
 	// already unit/conflicting under the persistent assignment.
 	w := 0
 	for i := 0; i < len(lits) && w < 2; i++ {
-		if c.value(lits[i]) != -1 {
+		if c.vals[lits[i]] != -1 {
 			lits[w], lits[i] = lits[i], lits[w]
 			w++
 		}
@@ -389,20 +499,64 @@ func (c *checker) install(lits []cnf.Lit) error {
 		c.contradictory = true
 		return nil
 	case 1:
-		if c.value(lits[0]) != 1 {
+		if c.vals[lits[0]] != 1 {
 			if !c.assertTop(lits[0]) || !c.propagate() {
 				c.contradictory = true
 				return nil
 			}
 		}
 	}
-	sorted := append([]cnf.Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	cl := &chkClause{lits: lits, key: clauseKey(sorted)}
-	c.watches[cl.lits[0].Not()] = append(c.watches[cl.lits[0].Not()], cl)
-	c.watches[cl.lits[1].Not()] = append(c.watches[cl.lits[1].Not()], cl)
-	c.byKey[cl.key] = append(c.byKey[cl.key], cl)
+	if len(c.arena)+headerLen+len(lits) > math.MaxUint32 {
+		return fmt.Errorf("clause database exceeds %d words", uint32(math.MaxUint32))
+	}
+	ref := uint32(len(c.arena))
+	h := hashLits(lits)
+	c.arena = append(c.arena, uint32(len(lits))<<1, c.byHash[h])
+	for _, l := range lits {
+		c.arena = append(c.arena, uint32(l))
+	}
+	c.byHash[h] = ref
+	c.watches[lits[0].Not()] = append(c.watches[lits[0].Not()], watch{ref, lits[1]})
+	c.watches[lits[1].Not()] = append(c.watches[lits[1].Not()], watch{ref, lits[0]})
 	return nil
+}
+
+// remove deletes the newest live clause whose literal set is lits, the
+// last normalized clause, and reports whether there was one.
+func (c *checker) remove(lits []cnf.Lit) bool {
+	h := hashLits(lits)
+	prev := uint32(0)
+	for ref := c.byHash[h]; ref != 0; prev, ref = ref, c.arena[ref+1] {
+		if !c.isLastNormalized(ref, len(lits)) {
+			continue // a hash collision
+		}
+		next := c.arena[ref+1]
+		switch {
+		case prev != 0:
+			c.arena[prev+1] = next
+		case next != 0:
+			c.byHash[h] = next
+		default:
+			delete(c.byHash, h)
+		}
+		c.arena[ref] |= deletedBit
+		return true
+	}
+	return false
+}
+
+// isLastNormalized reports whether clause ref has exactly the n literals
+// of the last normalized clause.
+func (c *checker) isLastNormalized(ref uint32, n int) bool {
+	if int(c.arena[ref]>>1) != n {
+		return false
+	}
+	for _, l := range c.arena[ref+headerLen : ref+headerLen+uint32(n)] {
+		if c.stamp[l] != c.epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // rup reports whether clause lits has the reverse-unit-propagation
@@ -413,18 +567,14 @@ func (c *checker) rup(lits []cnf.Lit) bool {
 	}
 	mark := len(c.trail)
 	for _, l := range lits {
-		switch c.value(l) {
+		switch c.vals[l] {
 		case 1:
 			// Satisfied at top level: trivially implied.
 			c.undo(mark)
 			return true
 		case 0:
-			if !c.assertTop(l.Not()) {
-				// Another assumption complements it (defensive; normalized
-				// clauses cannot reach this).
-				c.undo(mark)
-				return true
-			}
+			// Normalized, so no other assumption is l itself.
+			c.assign(l.Not())
 		}
 	}
 	conflict := !c.propagate()
@@ -440,7 +590,7 @@ func (c *checker) step(kind byte, rawLits []cnf.Lit) error {
 			return fmt.Errorf("proof: step %d: variable %d beyond formula header", c.res.Steps, int(l.Var())+1)
 		}
 	}
-	lits, taut := normalizeLits(rawLits)
+	lits, taut := c.normalize(rawLits)
 	switch kind {
 	case 'a':
 		c.res.Adds++
@@ -466,21 +616,13 @@ func (c *checker) step(kind byte, rawLits []cnf.Lit) error {
 		}
 	case 'd':
 		c.res.Deletes++
-		if taut || len(lits) < 2 {
-			// Unit/empty deletions are ignored (they would weaken the
-			// persistent assignment, which forward checkers never undo).
+		// Unit/empty deletions are ignored (they would weaken the
+		// persistent assignment, which forward checkers never undo), and
+		// so are deletions of clauses not in the database.
+		if taut || len(lits) < 2 || !c.remove(lits) {
 			c.res.SkippedDeletes++
 			return nil
 		}
-		key := clauseKey(lits)
-		list := c.byKey[key]
-		if len(list) == 0 {
-			c.res.SkippedDeletes++
-			return nil
-		}
-		cl := list[len(list)-1]
-		c.byKey[key] = list[:len(list)-1]
-		c.detach(cl)
 	default:
 		return fmt.Errorf("proof: step %d: unknown record kind %q", c.res.Steps, kind)
 	}
@@ -488,19 +630,6 @@ func (c *checker) step(kind byte, rawLits []cnf.Lit) error {
 		c.res.Verified = true
 	}
 	return nil
-}
-
-func (c *checker) detach(cl *chkClause) {
-	for _, w := range []cnf.Lit{cl.lits[0].Not(), cl.lits[1].Not()} {
-		ws := c.watches[w]
-		for i := range ws {
-			if ws[i] == cl {
-				ws[i] = ws[len(ws)-1]
-				c.watches[w] = ws[:len(ws)-1]
-				break
-			}
-		}
-	}
 }
 
 // justified checks an XOR-derived clause: the clause forbids exactly one

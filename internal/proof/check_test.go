@@ -61,6 +61,10 @@ func TestCheckTable(t *testing.T) {
 		{"bad-token", impl2, "1 zebra 0\n", false, true},
 		{"truncated", impl2, "1 2\n", false, true},
 		{"var-out-of-range", impl2, "7 0\n", false, true},
+		// 2^31+2 and the varint 2^32+4 do not fit a cnf.Lit; narrowed,
+		// both would read as the literal 2, and the square would verify.
+		{"text-literal-beyond-lit", square, "2147483650 0\n0\n", false, true},
+		{"binary-literal-beyond-lit", square, "a\x84\x80\x80\x80\x10\x00a\x00", false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

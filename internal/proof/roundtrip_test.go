@@ -2,6 +2,8 @@ package proof
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/cnf"
@@ -31,7 +33,7 @@ func php(pigeons, holes int) *cnf.Formula {
 	return f
 }
 
-func solveWithProof(t *testing.T, f *cnf.Formula, profile sat.Profile, probe bool, binary bool) (sat.Status, []byte) {
+func solveWithProof(t testing.TB, f *cnf.Formula, profile sat.Profile, probe bool, binary bool) (sat.Status, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	var w sat.ProofWriter
@@ -85,6 +87,26 @@ func TestRoundTripPigeonhole(t *testing.T) {
 				t.Fatalf("proof not verified: %+v (proof %d bytes)", res, len(pf))
 			}
 		})
+	}
+}
+
+// The writers' bytes for a proof-logged PHP(8,7) solve are pinned: each
+// writer must emit exactly the stream it always has.
+func TestWriterBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		binary bool
+		size   int
+		sha256 string
+	}{
+		{false, 816838, "7f4d6d18f6d95febba3bac8bbce42108d2cb159f809b8adf9293bf2ba755f127"},
+		{true, 299377, "3fc266625eddacf7bc3112eaa61c0489405f3bc6c92449cbfd89da674ab4e549"},
+	} {
+		st, pf := solveWithProof(t, php(8, 7), sat.ProfileMiniSat, false, tc.binary)
+		sum := fmt.Sprintf("%x", sha256.Sum256(pf))
+		if st != sat.Unsat || len(pf) != tc.size || sum != tc.sha256 {
+			t.Errorf("binary=%v: %v, %d bytes, sha256 %s; want UNSAT, %d bytes, sha256 %s",
+				tc.binary, st, len(pf), sum, tc.size, tc.sha256)
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ package proof
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
+	"strconv"
 
 	"repro/internal/cnf"
 )
@@ -56,20 +58,13 @@ func (t *TextWriter) line(prefix string, lits []cnf.Lit) {
 	if t.err != nil {
 		return
 	}
-	if prefix != "" {
-		if _, t.err = t.bw.WriteString(prefix); t.err != nil {
-			return
-		}
-	}
-	var buf [12]byte
+	b := append(t.bw.AvailableBuffer(), prefix...)
 	for _, l := range lits {
-		buf2 := appendInt(buf[:0], l.Dimacs())
-		buf2 = append(buf2, ' ')
-		if _, t.err = t.bw.Write(buf2); t.err != nil {
-			return
-		}
+		b = strconv.AppendInt(b, int64(l.Dimacs()), 10)
+		b = append(b, ' ')
 	}
-	_, t.err = t.bw.WriteString("0\n")
+	b = append(b, "0\n"...)
+	_, t.err = t.bw.Write(b)
 }
 
 // Learn implements Writer.
@@ -87,25 +82,6 @@ func (t *TextWriter) Flush() error {
 		return t.err
 	}
 	return t.bw.Flush()
-}
-
-// appendInt is strconv.AppendInt for small ints without the import weight.
-func appendInt(b []byte, v int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [11]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
 }
 
 // BinaryWriter emits the compact binary DRAT form: each record is a tag
@@ -127,17 +103,12 @@ func (b *BinaryWriter) record(tag byte, lits []cnf.Lit) {
 	if b.err != nil {
 		return
 	}
-	if b.err = b.bw.WriteByte(tag); b.err != nil {
-		return
-	}
-	var buf [5]byte
+	rec := append(b.bw.AvailableBuffer(), tag)
 	for _, l := range lits {
-		n := putUvarint(buf[:], uint32(l)+2)
-		if _, b.err = b.bw.Write(buf[:n]); b.err != nil {
-			return
-		}
+		rec = binary.AppendUvarint(rec, uint64(l)+2)
 	}
-	b.err = b.bw.WriteByte(0)
+	rec = append(rec, 0)
+	_, b.err = b.bw.Write(rec)
 }
 
 // Learn implements Writer.
@@ -155,15 +126,4 @@ func (b *BinaryWriter) Flush() error {
 		return b.err
 	}
 	return b.bw.Flush()
-}
-
-func putUvarint(buf []byte, v uint32) int {
-	n := 0
-	for v >= 0x80 {
-		buf[n] = byte(v) | 0x80
-		v >>= 7
-		n++
-	}
-	buf[n] = byte(v)
-	return n + 1
 }

@@ -46,7 +46,8 @@ type Request struct {
 	// 0 takes the cube solver's default).
 	MaxCubes int `json:"max_cubes,omitempty"`
 	// Proof asks a cube-mode UNSAT job for its stitched DRAT refutation in
-	// Response.Proof.
+	// Response.Proof. The server checks the proof against the input before
+	// it answers; without it, an UNSAT from the cube workers is trusted.
 	Proof bool `json:"proof,omitempty"`
 	// Route classifies the converted CNF at each SAT step and sends
 	// tractable fragments (2SAT/Horn/XOR) to the polynomial solvers before
@@ -216,6 +217,20 @@ func (jb *job) checkModel(model []bool) error {
 		}
 	} else if !modelSatisfies(jb.form, model) {
 		return fmt.Errorf("the SAT model fails the DIMACS input")
+	}
+	return nil
+}
+
+// checkProof checks the DRAT refutation of a proof=true UNSAT answer
+// against the job's CNF: the DIMACS input as parsed, or the ANF input's
+// conversion, the formula cube mode solves.
+func (jb *job) checkProof(drat string) error {
+	res, err := proof.Check(jb.form, strings.NewReader(drat))
+	switch {
+	case err != nil:
+		return fmt.Errorf("the UNSAT proof fails the input: %w", err)
+	case !res.Verified:
+		return fmt.Errorf("the UNSAT proof does not refute the input")
 	}
 	return nil
 }

@@ -181,7 +181,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // publish the response, repeat until the queue closes. A job that panics,
 // or answers SAT with a model that fails its input, fails alone: its
 // request gets an error, nothing is cached, and the worker goes on to the
-// next job. A completed answer is cached as the body a hit sends.
+// next job. So does an UNSAT answer whose requested proof does not check.
+// A completed answer is cached as the body a hit sends.
 func (s *Server) worker() {
 	defer s.pool.Done()
 	for jb := range s.queue {
@@ -212,8 +213,9 @@ func (s *Server) worker() {
 }
 
 // runJob builds the job's input and the conversions its mode needs, runs
-// it, and checks a SAT answer's model on the input. A panic anywhere in
-// those steps becomes an error that carries the panic value and stack.
+// it, and checks a SAT answer's model, or a proof=true UNSAT answer's
+// proof, on the input. A panic anywhere in those steps becomes an error
+// that carries the panic value and stack.
 func (s *Server) runJob(jb *job) (resp *Response, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -228,8 +230,13 @@ func (s *Server) runJob(jb *job) (resp *Response, err error) {
 	} else {
 		resp = jb.run(s.cfg.Engine, s.metrics)
 	}
-	if resp.Status == "SAT" {
+	switch {
+	case resp.Status == "SAT":
 		if err := jb.checkModel(resp.Solution); err != nil {
+			return nil, err
+		}
+	case resp.Status == "UNSAT" && jb.req.Proof:
+		if err := jb.checkProof(resp.Proof); err != nil {
 			return nil, err
 		}
 	}

@@ -597,6 +597,54 @@ func TestFalseModelFailsJob(t *testing.T) {
 	}
 }
 
+// A proof=true UNSAT answer's proof is checked before it is cached or
+// sent. Here every cube of the satisfiable PHP(4,4) is answered by hand
+// with the segment "0": the stitched proof fails the input, so the job
+// takes the path of a false model instead of answering UNSAT.
+func TestUncheckedProofFailsJob(t *testing.T) {
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	srv, ts := newTestServer(t, Config{Workers: 1, Role: RoleCoordinator, Log: log.New(lockedWriter{&logMu, &logs}, "", 0)})
+	f := satgen.Pigeonhole(4, 4).Formula
+	req := Request{Format: "dimacs", Input: dimacsOf(t, f), Mode: "cube", MaxCubes: 8, Proof: true, TimeoutMS: 30000}
+	codes := make(chan int, 1)
+	go func() {
+		resp, _ := postJob(t, ts.URL, req)
+		codes <- resp.StatusCode
+	}()
+	code := 0
+	for deadline := time.Now().Add(10 * time.Second); code == 0; {
+		select {
+		case code = <-codes:
+			continue
+		default:
+		}
+		if task, ok := srv.cubes.next(); ok {
+			srv.cubes.record(CubeResult{JobID: task.JobID, Cube: task.Cube, Status: "UNSAT", Proof: "0\n"})
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the cube job never answered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if code != http.StatusInternalServerError {
+		t.Fatalf("an UNSAT answer with a false proof answered %d, want 500", code)
+	}
+	jb, err := parseJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed, cached := srv.Metrics().JobsFailed.Load(), srv.cache.Len(); failed != 1 || cached != 0 {
+		t.Errorf("failed=%d cached=%d, want 1 and 0", failed, cached)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if want := "key=" + jb.key[:12] + " failed"; !strings.Contains(logs.String(), want) {
+		t.Errorf("log %q lacks %q", logs.String(), want)
+	}
+}
+
 // lockedWriter serializes writes to w.
 type lockedWriter struct {
 	mu *sync.Mutex

@@ -3,8 +3,9 @@
 # tests, the proof round-trip smokes (scripts/proofsmoke.sh), short fuzz
 # runs of every fuzz target (scripts/fuzzsmoke.sh),
 # a one-iteration smoke pass over the perf-critical benchmarks, and the
-# end-to-end benchmark module's vet, tests and one-second runs of a batch
-# and the daemon workload. CI and
+# end-to-end benchmark module's vet, tests and one-second runs of two batch
+# workloads (one of them checks DRAT certificates) and the daemon
+# workload. CI and
 # pre-commit runs should both go through `make check`, which calls this.
 set -eu
 
@@ -57,16 +58,20 @@ go build -o "$workdir/proofcheck" ./cmd/proofcheck
 sh scripts/fuzzsmoke.sh
 
 echo "==> bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars|ReadSystem|SolveHit|Kernels' -benchtime 1x \
-	./internal/anf ./internal/bench ./internal/conv ./internal/core ./internal/gf2 ./internal/server
+go test -run '^$' -bench 'XL|RREF|ElimLin|ProcessWorkers|ANFToCNF|PolyVars|ReadSystem|SolveHit|Kernels|Check' -benchtime 1x \
+	./internal/anf ./internal/bench ./internal/conv ./internal/core ./internal/gf2 ./internal/proof ./internal/server
 
-echo "==> perfbench module (vet, tests, one-second traced batch and daemon runs)"
+echo "==> perfbench module (vet, tests, one-second traced batch, proof-checking and daemon runs)"
 # perfbench is a Go module of its own (replace repro => ../), so the root
 # `go build ./...` and `go test ./...` never compile it: a signature
 # change to anything it calls would break the benchmark unseen.
 (cd perfbench && go vet ./... && go test ./...)
 bash perfbench/run.sh --workload simon-elimlin --seed 1 --seconds 1 --trace 1 > "$workdir/perfbench.out"
 tail -n 1 "$workdir/perfbench.out" | grep -q '"correct":true'
+# cnf-unsat-proof is the one workload that runs proof.Check: each UNSAT
+# verdict's certificate must check.
+bash perfbench/run.sh --workload cnf-unsat-proof --seed 1 --seconds 1 --trace 1 > "$workdir/perfbench-proof.out"
+tail -n 1 "$workdir/perfbench-proof.out" | grep -q '"correct":true'
 # daemon-mix sends real-HTTP misses and cache hits to an in-process
 # bosphorusd and checks every answer.
 bash perfbench/run.sh --workload daemon-mix --seed 1 --seconds 1 --trace 1 > "$workdir/perfbench-daemon.out"

@@ -1,6 +1,6 @@
 #!/bin/sh
 # fuzzsmoke.sh — a few seconds of fuzzing for each fuzz target: the DRAT
-# checker, the lint directive parser, the router's classifier, native
+# checker, alone and against its reference, the lint directive parser, the router's classifier, native
 # parity clauses, sparse GF(2) elimination, ANF-to-CNF conversion against
 # the reference encoder, the ANF and DIMACS readers, the /solve body
 # decoder against encoding/json, the cache key's input scans against the
@@ -13,6 +13,7 @@ cd "$(dirname "$0")/.."
 echo "==> fuzz smokes (3 s per target)"
 go test -run '^$' -fuzz '^FuzzProofCheck$' -fuzztime 3s ./internal/proof
 go test -run '^$' -fuzz '^FuzzProofMutation$' -fuzztime 3s ./internal/proof
+go test -run '^$' -fuzz '^FuzzCheckMatchesReference$' -fuzztime 3s ./internal/proof
 go test -run '^$' -fuzz '^FuzzDirectives$' -fuzztime 3s ./internal/lint
 go test -run '^$' -fuzz '^FuzzClassify$' -fuzztime 3s ./internal/route
 go test -run '^$' -fuzz '^FuzzParityClause$' -fuzztime 3s ./internal/sat
