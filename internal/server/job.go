@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -47,7 +48,8 @@ type Request struct {
 	MaxCubes int `json:"max_cubes,omitempty"`
 	// Proof asks a cube-mode UNSAT job for its stitched DRAT refutation in
 	// Response.Proof. The server checks the proof against the input before
-	// it answers; without it, an UNSAT from the cube workers is trusted.
+	// it answers, within the job's deadline; without Proof, an UNSAT from
+	// the cube workers is trusted.
 	Proof bool `json:"proof,omitempty"`
 	// Route classifies the converted CNF at each SAT step and sends
 	// tractable fragments (2SAT/Horn/XOR) to the polynomial solvers before
@@ -221,11 +223,32 @@ func (jb *job) checkModel(model []bool) error {
 	return nil
 }
 
+// checkAnswer checks resp on the job's input: a SAT answer's model, or a
+// proof=true UNSAT answer's proof. The job's deadline bounds the proof
+// check too: a check it cuts short answers CANCELED, which is not cached.
+func (jb *job) checkAnswer(resp *Response) (*Response, error) {
+	switch {
+	case resp.Status == "SAT":
+		if err := jb.checkModel(resp.Solution); err != nil {
+			return nil, err
+		}
+	case resp.Status == "UNSAT" && jb.req.Proof:
+		if err := jb.checkProof(resp.Proof); err != nil {
+			if jb.ctx.Err() == nil {
+				return nil, err
+			}
+			return &Response{Status: "CANCELED", Cubes: resp.Cubes, ElapsedMS: resp.ElapsedMS}, nil
+		}
+	}
+	return resp, nil
+}
+
 // checkProof checks the DRAT refutation of a proof=true UNSAT answer
 // against the job's CNF: the DIMACS input as parsed, or the ANF input's
-// conversion, the formula cube mode solves.
+// conversion, the formula cube mode solves. The check stops at the job's
+// deadline.
 func (jb *job) checkProof(drat string) error {
-	res, err := proof.Check(jb.form, strings.NewReader(drat))
+	res, err := proof.Check(jb.form, ctxReader{jb.ctx, strings.NewReader(drat)})
 	switch {
 	case err != nil:
 		return fmt.Errorf("the UNSAT proof fails the input: %w", err)
@@ -233,6 +256,20 @@ func (jb *job) checkProof(drat string) error {
 		return fmt.Errorf("the UNSAT proof does not refute the input")
 	}
 	return nil
+}
+
+// ctxReader reads r until ctx is done, then fails every read with ctx's
+// error, so a streaming reader stops at a deadline.
+type ctxReader struct {
+	ctx context.Context
+	r   io.Reader
+}
+
+func (cr ctxReader) Read(p []byte) (int, error) {
+	if err := cr.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return cr.r.Read(p)
 }
 
 // modelSatisfies reports whether model satisfies f; variables past the

@@ -181,8 +181,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // publish the response, repeat until the queue closes. A job that panics,
 // or answers SAT with a model that fails its input, fails alone: its
 // request gets an error, nothing is cached, and the worker goes on to the
-// next job. So does an UNSAT answer whose requested proof does not check.
-// A completed answer is cached as the body a hit sends.
+// next job. So does an UNSAT answer whose requested proof does not check;
+// one whose check the job's deadline cuts short is CANCELED. A completed
+// answer is cached as the body a hit sends.
 func (s *Server) worker() {
 	defer s.pool.Done()
 	for jb := range s.queue {
@@ -230,17 +231,7 @@ func (s *Server) runJob(jb *job) (resp *Response, err error) {
 	} else {
 		resp = jb.run(s.cfg.Engine, s.metrics)
 	}
-	switch {
-	case resp.Status == "SAT":
-		if err := jb.checkModel(resp.Solution); err != nil {
-			return nil, err
-		}
-	case resp.Status == "UNSAT" && jb.req.Proof:
-		if err := jb.checkProof(resp.Proof); err != nil {
-			return nil, err
-		}
-	}
-	return resp, nil
+	return jb.checkAnswer(resp)
 }
 
 // hitBody encodes the answer a cache hit sends: resp marked cached, in the

@@ -597,6 +597,34 @@ func TestFalseModelFailsJob(t *testing.T) {
 	}
 }
 
+// The proof check reads under the job's context: once the deadline has
+// passed, the check stops and the UNSAT answer becomes CANCELED, which
+// the worker counts as canceled and does not cache.
+func TestProofCheckStopsAtDeadline(t *testing.T) {
+	square := "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
+	jb, err := parseJob(Request{Format: "dimacs", Input: square, Mode: "cube", Proof: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jb.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	jb.ctx = ctx
+	answer := &Response{Status: "UNSAT", Cubes: 2, Proof: "2 0\n0\n", ElapsedMS: 7}
+	if got, err := jb.checkAnswer(answer); err != nil || got != answer {
+		t.Fatalf("before the deadline: %+v, %v; want the UNSAT answer", got, err)
+	}
+	cancel()
+	got, err := jb.checkAnswer(answer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Response{Status: "CANCELED", Cubes: 2, ElapsedMS: 7}); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("after the deadline: %+v, want %+v", *got, want)
+	}
+}
+
 // A proof=true UNSAT answer's proof is checked before it is cached or
 // sent. Here every cube of the satisfiable PHP(4,4) is answered by hand
 // with the segment "0": the stitched proof fails the input, so the job
