@@ -82,7 +82,7 @@ type Options struct {
 	ConflictBudget int64
 	// Profile picks the internal solver.
 	Profile SolverProfile
-	// MaxIterations caps the loop; 0 means run to the fixed point.
+	// MaxIterations caps the loop; 0 keeps the default cap of 16.
 	MaxIterations int
 	// TimeBudget caps wall-clock time (0 = none).
 	TimeBudget time.Duration

@@ -258,6 +258,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// committing to one solution — enumerate what remains.
 		out, _ := res.OutputCNF(cfg.Conv)
 		s := sat.New(sat.DefaultOptions(cfg.Profile))
+		s.SetInterrupt(ctx)
 		if s.AddFormula(out) {
 			models := s.EnumerateModels(sys.NumVars(), *enum)
 			fmt.Fprintf(stdout, "c %d solution(s) over the original variables (cap %d):\n", len(models), *enum)

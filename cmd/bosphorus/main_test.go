@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/proof"
@@ -128,6 +132,52 @@ func TestEnumerateSolutions(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "2 solution(s)") {
 		t.Fatalf("enumeration output wrong:\n%s", s)
+	}
+}
+
+// Ctrl-C stops a model enumeration too: run prints the models found so
+// far and returns instead of enumerating all 2^40 - 1 of them.
+func TestEnumerateStopsOnInterrupt(t *testing.T) {
+	vars := make([]string, 40)
+	for i := range vars {
+		vars[i] = fmt.Sprintf("x%d", i+1)
+	}
+	in := writeFile(t, t.TempDir(), "wide.anf", strings.Join(vars, "*")+"\n")
+	// While sigs is registered, SIGINT cannot kill the test binary, so it
+	// may arrive before run installs its own handler; it is resent until
+	// run returns.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt)
+	defer signal.Stop(sigs)
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-anf", in, "-no-xl", "-no-elimlin", "-enum", "100000000"}, &out, io.Discard)
+	}()
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(20 * time.Second)
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "solution(s) over the original variables") {
+				t.Fatalf("output:\n%s", out.String())
+			}
+			return
+		case <-tick.C:
+			if err := self.Signal(os.Interrupt); err != nil {
+				t.Skipf("cannot signal the test process: %v", err)
+			}
+		case <-timeout:
+			t.Fatal("enumeration still running 20 s after the first SIGINT")
+		}
 	}
 }
 

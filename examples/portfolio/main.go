@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -34,7 +35,9 @@ func main() {
 	fmt.Printf("xor recovery: %d clause groups became %d native xors\n",
 		len(inst.Formula.Clauses)-len(recovered.Clauses), len(recovered.Xors))
 
-	res := portfolio.Solve(recovered, nil, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res := portfolio.Solve(ctx, recovered, nil)
 	fmt.Printf("portfolio: %v in %v — winner: %s\n", res.Status, res.Elapsed.Round(time.Microsecond), res.Winner)
 	if res.Status == sat.Sat {
 		if !inst.Formula.Eval(func(v cnf.Var) bool { return res.Model[v] }) {

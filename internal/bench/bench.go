@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -72,7 +73,7 @@ func RunInstance(job Job, cfg Config) InstanceResult {
 	res := InstanceResult{Name: job.Name, Verdict: sat.Unknown, SolvedBy: "solver"}
 	deadline := start.Add(cfg.Timeout)
 
-	formula, verdict, solvedBy := prepare(job, cfg, deadline)
+	formula, verdict, solvedBy := prepare(job, cfg)
 	if verdict != sat.Unknown {
 		res.Verdict = verdict
 		res.SolvedBy = solvedBy
@@ -98,7 +99,7 @@ func RunInstance(job Job, cfg Config) InstanceResult {
 
 // prepare produces the CNF the eventual solver will see, possibly solving
 // outright via the Bosphorus loop.
-func prepare(job Job, cfg Config, deadline time.Time) (*cnf.Formula, sat.Status, string) {
+func prepare(job Job, cfg Config) (*cnf.Formula, sat.Status, string) {
 	if !cfg.UseBosphorus {
 		// "w/o": CNF problems go to the solver as-is; ANF problems are
 		// only converted (§IV: "converting to CNFs using BOSPHORUS if
@@ -203,7 +204,9 @@ func finalSolve(f *cnf.Formula, cfg Config, deadline time.Time) sat.Status {
 	if !s.AddFormula(target) {
 		return sat.Unsat
 	}
-	s.SetDeadline(deadline)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	s.SetInterrupt(ctx)
 	return s.Solve()
 }
 

@@ -35,9 +35,6 @@ func (p Params) String() string {
 // Elements returns the number of state elements r·c.
 func (p Params) Elements() int { return p.R * p.C }
 
-// BlockBits returns the block size in bits.
-func (p Params) BlockBits() int { return p.R * p.C * p.E }
-
 // Cipher is an instantiated SR variant.
 type Cipher struct {
 	P     Params

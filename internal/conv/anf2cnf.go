@@ -71,10 +71,6 @@ func newVarMap(numANF int) *VarMap {
 	}
 }
 
-// NumANFVars returns the count of original ANF variables (CNF variables
-// below this index are original).
-func (vm *VarMap) NumANFVars() int { return vm.numANF }
-
 // IsOriginal reports whether CNF variable v maps to an original ANF
 // variable.
 func (vm *VarMap) IsOriginal(v cnf.Var) bool { return int(v) < vm.numANF }

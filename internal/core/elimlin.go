@@ -23,11 +23,6 @@ type ElimLinConfig struct {
 	Rand *rand.Rand
 }
 
-// DefaultElimLinConfig mirrors the paper's settings with the scaled M.
-func DefaultElimLinConfig(rng *rand.Rand) ElimLinConfig {
-	return ElimLinConfig{M: 20, MaxRounds: 64, Rand: rng}
-}
-
 // RunElimLin performs the ElimLin algorithm on a random subset of the
 // system and returns the linear equations learnt across all rounds. The
 // input system is not modified: substitutions rewrite, in place, only the

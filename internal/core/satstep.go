@@ -39,10 +39,10 @@ type SATStepConfig struct {
 	Probe bool
 	// Seed makes the solver deterministic.
 	Seed int64
-	// Context, when non-nil, cancels the step: the solver's interrupt hook
-	// polls it during probing and search, so the step returns (with the
-	// facts harvested so far) soon after cancellation. A nil Context never
-	// cancels.
+	// Context, when non-nil, cancels the step: the solver polls it
+	// (sat.Solver.SetInterrupt) during probing and search, so the step
+	// returns (with the facts harvested so far) soon after cancellation. A
+	// nil Context never cancels.
 	Context context.Context
 	// Route classifies the converted CNF into tractable fragments (2SAT,
 	// Horn, anti-Horn, pure XOR) and, on a match, decides it with the
@@ -187,10 +187,7 @@ func RunSATStep(sys *anf.System, cfg SATStepConfig) *SATStepResult {
 			Binary:  cfg.ProofBinary,
 		}
 	}
-	if cfg.Context != nil && cfg.Context.Done() != nil {
-		ctx := cfg.Context
-		s.SetInterrupt(func() bool { return ctx.Err() != nil })
-	}
+	s.SetInterrupt(cfg.Context)
 	if !s.AddFormula(target) {
 		res.Status = sat.Unsat
 		addFact(anf.OnePoly(), "refuted at clause insertion")

@@ -90,10 +90,6 @@ func (s *VarState) Determined(v anf.Var) bool {
 	return ok
 }
 
-// Equivalent returns the representative literal of v; if it differs from v
-// itself, v is equivalent to that literal.
-func (s *VarState) Equivalent(v anf.Var) Lit { return s.Find(v) }
-
 // SetValue fixes v (through its representative) to b. It returns false on
 // a contradiction with an earlier value.
 func (s *VarState) SetValue(v anf.Var, b bool) bool {
@@ -213,17 +209,6 @@ func (s *VarState) binds(p anf.Poly) bool {
 		}
 	}
 	return false
-}
-
-// Assignments returns every determined variable with its value.
-func (s *VarState) Assignments() map[anf.Var]bool {
-	out := map[anf.Var]bool{}
-	for v := range s.val {
-		if b, ok := s.Value(anf.Var(v)); ok {
-			out[anf.Var(v)] = b
-		}
-	}
-	return out
 }
 
 // Equivalences returns every variable whose representative differs from

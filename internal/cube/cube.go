@@ -61,9 +61,6 @@ type Options struct {
 	// WithProof captures per-worker DRAT segments and stitches an UNSAT
 	// proof into Result.Proof.
 	WithProof bool
-	// Timeout bounds the whole run (0 = none); on expiry the result is
-	// Unknown unless a verdict already landed.
-	Timeout time.Duration
 }
 
 // DefaultOptions returns a conservative cube configuration: a shallow

@@ -41,11 +41,8 @@ func solveDirect(ctx context.Context, f *cnf.Formula, opts Options) *Result {
 	}
 	st := sat.Unsat
 	if s.AddFormula(f.Clone()) {
-		if opts.Timeout > 0 {
-			//lint:ignore determinism deadline only: bounds the solve, never ordering
-			s.SetDeadline(time.Now().Add(opts.Timeout))
-		}
-		st = s.SolveLimitedCtx(ctx, -1)
+		s.SetInterrupt(ctx)
+		st = s.Solve()
 	}
 	res.Status = st
 	if st == sat.Sat {
@@ -110,11 +107,6 @@ func solveCubes(ctx context.Context, f *cnf.Formula, opts Options) *Result {
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		//lint:ignore determinism deadline only: bounds the solve, never ordering
-		deadline = time.Now().Add(opts.Timeout)
-	}
 
 	outcomes := make([]cubeOutcome, len(tree.Open))
 	workers := make([]workerState, nWorkers)
@@ -152,10 +144,7 @@ func solveCubes(ctx context.Context, f *cnf.Formula, opts Options) *Result {
 			if ring != nil {
 				s.SetExchange(ring.Endpoint())
 			}
-			if !deadline.IsZero() {
-				s.SetDeadline(deadline)
-			}
-			s.SetInterrupt(func() bool { return runCtx.Err() != nil })
+			s.SetInterrupt(runCtx)
 			for idx := range jobs {
 				if runCtx.Err() != nil {
 					break

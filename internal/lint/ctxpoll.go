@@ -6,16 +6,16 @@ import (
 	"strings"
 )
 
-// CtxPollAnalyzer enforces the cancellation contract PR 2 established:
-// long-running work in internal/core, internal/sat and internal/portfolio
-// must stay interruptible. Concretely:
+// CtxPollAnalyzer enforces the cancellation contract: long-running work in
+// internal/core, internal/sat, internal/portfolio, internal/cube and
+// internal/walksat must stay interruptible. Concretely:
 //
 //   - An exported function that can see a cancellation signal — a
 //     context.Context parameter, or a parameter/receiver struct carrying a
 //     Context field — and that contains loops must either poll a
 //     cancellation probe (ctx.Err(), ctxCanceled, expired, <-ctx.Done(),
-//     an Interrupt check) inside at least one loop, or install an
-//     interrupt hook (SetInterrupt) that delegates the polling.
+//     an interrupted check) inside at least one loop, or hand the context
+//     to a solver (SetInterrupt) that does the polling.
 //   - Any infinite `for` loop (no condition) with no break must contain a
 //     cancellation probe: without one, nothing bounds the loop once a job
 //     deadline fires, and the solver-service worker stays occupied
@@ -26,7 +26,7 @@ var CtxPollAnalyzer = &Analyzer{
 	Run:  runCtxPoll,
 }
 
-var ctxpollTargets = []string{"internal/core", "internal/sat", "internal/portfolio"}
+var ctxpollTargets = []string{"internal/core", "internal/sat", "internal/portfolio", "internal/cube", "internal/walksat"}
 
 func runCtxPoll(pass *Pass) {
 	targeted := false
@@ -57,8 +57,8 @@ func runCtxPoll(pass *Pass) {
 					return
 				}
 			}
-			// A hook installation (SetInterrupt and friends) delegates the
-			// polling to the hooked component.
+			// Installing the signal in a solver (SetInterrupt and friends)
+			// delegates the polling to it.
 			if containsCall(body, func(c *ast.CallExpr) bool {
 				return strings.Contains(strings.ToLower(calleeName(c)), "interrupt")
 			}) {
@@ -107,7 +107,7 @@ func collectLoops(body *ast.BlockStmt) []ast.Stmt {
 }
 
 // probeNameFragments mark a call as a cancellation probe by name:
-// ctxCanceled, deadlineExpired, Interrupt, canceled...
+// ctxCanceled, deadlineExpired, interrupted, canceled...
 var probeNameFragments = []string{"cancel", "expire", "interrupt"}
 
 // containsProbe reports whether node lexically contains a cancellation

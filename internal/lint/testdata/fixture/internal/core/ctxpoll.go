@@ -35,17 +35,17 @@ func ScanConfig(cfg Config, eqs []int) {
 	}
 }
 
-// ScanHooked installs an interrupt hook that delegates the polling:
+// ScanHooked hands its context to a solver that does the polling:
 // clean.
 func ScanHooked(ctx context.Context, eqs []int) {
-	SetInterrupt(func() bool { return ctx.Err() != nil })
+	SetInterrupt(ctx)
 	for range eqs {
 		work(2)
 	}
 }
 
-// SetInterrupt stands in for the solver's interrupt-hook installer.
-func SetInterrupt(fn func() bool) {}
+// SetInterrupt stands in for the solver's stop-signal installer.
+func SetInterrupt(ctx context.Context) {}
 
 // scanForever is unexported, but infinite loops are checked everywhere in
 // the target packages.

@@ -4,7 +4,7 @@
 // sibling of the paper's Lingeling column). Each worker gets its own
 // solver instance (solvers are not goroutine-safe) with a distinct
 // profile and seed; the winner's model is returned and the losers are
-// interrupted.
+// stopped.
 package portfolio
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
-	"repro/internal/share"
 	"repro/internal/walksat"
 )
 
@@ -58,84 +57,39 @@ func DefaultWorkers() []Worker {
 	}
 }
 
-// Stats carries the winning solver's final search counters, so service
-// latency can be correlated with work done, not just wall-clock.
-type Stats struct {
-	Conflicts    uint64
-	Decisions    uint64
-	Propagations uint64
-	Restarts     uint64
-	// SharedExported / SharedImported count the winner's clause-exchange
-	// traffic (zero unless the run used SolveShared with a ring).
-	SharedExported uint64
-	SharedImported uint64
-}
-
 // Result of a portfolio run.
 type Result struct {
 	// Status is the first verdict (Unknown if every worker exhausted its
-	// budget, the deadline passed, or the context was cancelled).
+	// budget or the context was done first).
 	Status sat.Status
 	// Winner names the worker that produced the verdict.
 	Winner string
 	// Model is the satisfying assignment on Sat.
 	Model []bool
 	// Elapsed is the time to the first verdict — not the time for the
-	// interrupted losers to wind down. Without a verdict it is the full
+	// stopped losers to wind down. Without a verdict it is the full
 	// wall-clock time of the run.
 	Elapsed time.Duration
 	// Stats are the winner's final solver counters (zero when the verdict
-	// needed no search, e.g. a formula refuted at clause insertion).
-	Stats Stats
-}
-
-// Sharing configures learnt-clause exchange between portfolio members
-// through the internal/share ring: each worker exports its low-LBD learnt
-// clauses and imports the others' at restart boundaries. The zero value
-// disables exchange (the bit-reproducible-per-worker configuration); with
-// exchange on, per-worker search counters become timing-dependent, as
-// documented on sat.Solver.SetExchange.
-type Sharing struct {
-	// Slots sizes the exchange ring (0 disables sharing).
-	Slots int
-	// MaxLBD caps the LBD of exported clauses.
-	MaxLBD int
+	// needed no search, e.g. a formula refuted at clause insertion, or
+	// came from the WalkSAT member).
+	Stats sat.Stats
 }
 
 // Solve runs the workers concurrently on (copies of) the formula until
-// the first verdict or the timeout (0 = none).
-func Solve(f *cnf.Formula, workers []Worker, timeout time.Duration) *Result {
-	return SolveContext(context.Background(), f, workers, timeout)
-}
-
-// SolveContext is Solve bound to a context: cancellation interrupts every
-// worker promptly (through the solver interrupt hook, polled every few
-// hundred conflicts) and the call returns Unknown. The same hook is what
-// stops the losers the moment a verdict lands, so a worker deep inside a
-// large conflict budget does not keep its goroutine and memory alive
-// after the race is decided.
-func SolveContext(ctx context.Context, f *cnf.Formula, workers []Worker, timeout time.Duration) *Result {
-	return SolveShared(ctx, f, workers, timeout, Sharing{})
-}
-
-// SolveShared is SolveContext with learnt-clause exchange between the
-// members. With sharing.Slots == 0 it is exactly SolveContext.
-func SolveShared(ctx context.Context, f *cnf.Formula, workers []Worker, timeout time.Duration, sharing Sharing) *Result {
+// the first verdict; nil workers means DefaultWorkers. Every worker stops
+// soon after ctx is done (cancelled, or past its deadline), and the call
+// then returns Unknown. The first verdict stops the losers the same way,
+// so a worker deep inside a large conflict budget does not keep its
+// goroutine and memory alive after the race is decided.
+func Solve(ctx context.Context, f *cnf.Formula, workers []Worker) *Result {
 	if len(workers) == 0 {
 		workers = DefaultWorkers()
 	}
-	var ring *share.Ring
-	if sharing.Slots > 0 && sharing.MaxLBD > 0 && len(workers) > 1 {
-		ring = share.NewRing(sharing.Slots, sharing.MaxLBD)
-	}
 	start := time.Now()
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
 
-	// raceCtx cancels when a verdict lands (or the caller's ctx does);
-	// every solver polls it through its interrupt hook.
+	// raceCtx is done when a verdict lands or ctx is; it is every
+	// worker's stop signal.
 	raceCtx, stopAll := context.WithCancel(ctx)
 	defer stopAll()
 
@@ -143,35 +97,25 @@ func SolveShared(ctx context.Context, f *cnf.Formula, workers []Worker, timeout 
 		status sat.Status
 		name   string
 		model  []bool
-		stats  Stats
+		stats  sat.Stats
 	}
 	results := make(chan verdict, len(workers))
-	solvers := make([]*sat.Solver, len(workers))
 	var wg sync.WaitGroup
-	for i, w := range workers {
+	for _, w := range workers {
 		if w.WalkSAT != nil {
 			wg.Add(1)
 			go func(name string, o walksat.Options) {
 				defer wg.Done()
-				wctx := raceCtx
-				if !deadline.IsZero() {
-					var cancel context.CancelFunc
-					wctx, cancel = context.WithDeadline(raceCtx, deadline)
-					defer cancel()
-				}
 				// Local search only reads the formula, so no clone is
 				// needed; its model is verified inside walksat.Solve.
-				r := walksat.Solve(wctx, f, o)
-				results <- verdict{r.Status, name, r.Model, Stats{}}
+				r := walksat.Solve(raceCtx, f, o)
+				results <- verdict{r.Status, name, r.Model, sat.Stats{}}
 			}(w.Name, *w.WalkSAT)
 			continue
 		}
 		s := sat.New(w.Options)
 		ok := s.AddFormula(f.Clone())
-		if ring != nil {
-			s.SetExchange(ring.Endpoint())
-		}
-		solvers[i] = s
+		s.SetInterrupt(raceCtx)
 		budget := w.ConflictBudget
 		if budget <= 0 {
 			budget = -1
@@ -180,13 +124,10 @@ func SolveShared(ctx context.Context, f *cnf.Formula, workers []Worker, timeout 
 		go func(name string, s *sat.Solver, budget int64, trivialUnsat bool) {
 			defer wg.Done()
 			if trivialUnsat {
-				results <- verdict{sat.Unsat, name, nil, Stats{}}
+				results <- verdict{sat.Unsat, name, nil, sat.Stats{}}
 				return
 			}
-			if !deadline.IsZero() {
-				s.SetDeadline(deadline)
-			}
-			st := s.SolveLimitedCtx(raceCtx, budget)
+			st := s.SolveLimited(budget)
 			var m []bool
 			if st == sat.Sat {
 				m = s.Model()
@@ -194,14 +135,7 @@ func SolveShared(ctx context.Context, f *cnf.Formula, workers []Worker, timeout 
 			// The stats are read here, on the worker goroutine after the
 			// solve returns, so the winner's counters travel with its
 			// verdict instead of racing the losers' wind-down.
-			results <- verdict{st, name, m, Stats{
-				Conflicts:      s.Conflicts,
-				Decisions:      s.Decisions,
-				Propagations:   s.Propagations,
-				Restarts:       s.Restarts,
-				SharedExported: s.SharedExported,
-				SharedImported: s.SharedImported,
-			}}
+			results <- verdict{st, name, m, s.Snapshot()}
 		}(w.Name, s, budget, !ok)
 	}
 
@@ -216,15 +150,7 @@ func SolveShared(ctx context.Context, f *cnf.Formula, workers []Worker, timeout 
 			// Elapsed is the time to the verdict; the loser wind-down
 			// below is bookkeeping, not solving.
 			res.Elapsed = time.Since(start)
-			// First verdict: stop everyone else, both through the context
-			// (persistent, hook-polled) and the one-shot interrupt flag
-			// (caught between the hook polls).
 			stopAll()
-			for _, s := range solvers {
-				if s != nil { // walksat members have no solver slot
-					s.Interrupt()
-				}
-			}
 		}
 	}
 	wg.Wait()

@@ -12,10 +12,17 @@ import (
 	"repro/internal/walksat"
 )
 
+// solveWithin runs the portfolio under a deadline d from now.
+func solveWithin(f *cnf.Formula, workers []Worker, d time.Duration) *Result {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return Solve(ctx, f, workers)
+}
+
 func TestPortfolioSat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	inst := satgen.ParityChain(24, 26, 3, true, rng)
-	res := Solve(inst.Formula, nil, 10*time.Second)
+	res := solveWithin(inst.Formula, nil, 10*time.Second)
 	if res.Status != sat.Sat {
 		t.Fatalf("status %v (winner %s)", res.Status, res.Winner)
 	}
@@ -29,7 +36,7 @@ func TestPortfolioSat(t *testing.T) {
 
 func TestPortfolioUnsat(t *testing.T) {
 	inst := satgen.Pigeonhole(7, 6)
-	res := Solve(inst.Formula, nil, 10*time.Second)
+	res := solveWithin(inst.Formula, nil, 10*time.Second)
 	if res.Status != sat.Unsat {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -39,7 +46,7 @@ func TestPortfolioTrivialUnsat(t *testing.T) {
 	f := cnf.NewFormula(1)
 	f.AddClause(cnf.MkLit(0, false))
 	f.AddClause(cnf.MkLit(0, true))
-	res := Solve(f, nil, time.Second)
+	res := solveWithin(f, nil, time.Second)
 	if res.Status != sat.Unsat {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -48,7 +55,7 @@ func TestPortfolioTrivialUnsat(t *testing.T) {
 func TestPortfolioTimeout(t *testing.T) {
 	inst := satgen.Pigeonhole(12, 11) // too hard for 150 ms
 	start := time.Now()
-	res := Solve(inst.Formula, nil, 150*time.Millisecond)
+	res := solveWithin(inst.Formula, nil, 150*time.Millisecond)
 	if res.Status != sat.Unknown {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -64,7 +71,7 @@ func TestPortfolioCustomWorkers(t *testing.T) {
 		{Name: "a", Options: sat.DefaultOptions(sat.ProfileMiniSat)},
 		{Name: "b", Options: sat.DefaultOptions(sat.ProfileCMS)},
 	}
-	res := Solve(inst.Formula, workers, 10*time.Second)
+	res := solveWithin(inst.Formula, workers, 10*time.Second)
 	if res.Status == sat.Unknown {
 		t.Fatal("small instance unsolved")
 	}
@@ -82,7 +89,7 @@ func TestPortfolioAgreesWithReference(t *testing.T) {
 		ref := sat.New(sat.DefaultOptions(sat.ProfileMiniSat))
 		ref.AddFormula(inst.Formula)
 		want := ref.Solve()
-		res := Solve(inst.Formula, nil, 30*time.Second)
+		res := solveWithin(inst.Formula, nil, 30*time.Second)
 		if res.Status != want {
 			t.Fatalf("trial %d: portfolio %v, reference %v", trial, res.Status, want)
 		}
@@ -90,8 +97,8 @@ func TestPortfolioAgreesWithReference(t *testing.T) {
 }
 
 // Regression for the loser-shutdown fix: once the first verdict lands,
-// the remaining workers must be interrupted promptly (through the solver
-// interrupt hook) instead of running out their conflict budgets, and
+// the remaining workers must stop promptly (through the race context
+// each solver polls) instead of running out their conflict budgets, and
 // Result.Elapsed must reflect the first-verdict time, not the wind-down.
 func TestLoserShutdownPromptAndElapsed(t *testing.T) {
 	inst := satgen.Pigeonhole(8, 7) // hard enough that every worker is mid-search
@@ -101,7 +108,7 @@ func TestLoserShutdownPromptAndElapsed(t *testing.T) {
 		{Name: "c", Options: sat.DefaultOptions(sat.ProfileMiniSat), ConflictBudget: 1 << 40},
 	}
 	start := time.Now()
-	res := Solve(inst.Formula, workers, 30*time.Second)
+	res := solveWithin(inst.Formula, workers, 30*time.Second)
 	wall := time.Since(start)
 	if res.Status != sat.Unsat {
 		t.Fatalf("status %v", res.Status)
@@ -120,7 +127,7 @@ func TestSolveContextCancelPrompt(t *testing.T) {
 	inst := satgen.Pigeonhole(12, 11) // effectively unsolvable here
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan *Result, 1)
-	go func() { done <- SolveContext(ctx, inst.Formula, nil, 0) }()
+	go func() { done <- Solve(ctx, inst.Formula, nil) }()
 	time.Sleep(100 * time.Millisecond)
 	cancel()
 	select {
@@ -139,7 +146,7 @@ func TestWorkerConflictBudget(t *testing.T) {
 		{Name: "tiny-a", Options: sat.DefaultOptions(sat.ProfileMiniSat), ConflictBudget: 50},
 		{Name: "tiny-b", Options: sat.DefaultOptions(sat.ProfileLingeling), ConflictBudget: 50},
 	}
-	res := Solve(inst.Formula, workers, 0)
+	res := Solve(context.Background(), inst.Formula, workers)
 	if res.Status != sat.Unknown {
 		t.Fatalf("budget-bounded portfolio returned %v (winner %s)", res.Status, res.Winner)
 	}
@@ -148,31 +155,12 @@ func TestWorkerConflictBudget(t *testing.T) {
 	}
 }
 
-func TestInterruptLatency(t *testing.T) {
-	// Interrupting a hard solve must return promptly.
-	inst := satgen.Pigeonhole(12, 11)
-	s := sat.New(sat.DefaultOptions(sat.ProfileMiniSat))
-	s.AddFormula(inst.Formula)
-	done := make(chan sat.Status, 1)
-	go func() { done <- s.Solve() }()
-	time.Sleep(50 * time.Millisecond)
-	s.Interrupt()
-	select {
-	case st := <-done:
-		if st != sat.Unknown {
-			t.Fatalf("interrupted solve returned %v", st)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("interrupt did not stop the solver")
-	}
-}
-
 // The winner's final search counters must travel into the Result: a
 // pigeonhole refutation needs real search, so the winning solver's
 // conflict/decision/propagation counts are all nonzero.
 func TestWinnerStatsPropagated(t *testing.T) {
 	inst := satgen.Pigeonhole(7, 6)
-	res := Solve(inst.Formula, nil, 10*time.Second)
+	res := solveWithin(inst.Formula, nil, 10*time.Second)
 	if res.Status != sat.Unsat {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -187,11 +175,11 @@ func TestTrivialUnsatZeroStats(t *testing.T) {
 	f := cnf.NewFormula(1)
 	f.AddClause(cnf.MkLit(0, false))
 	f.AddClause(cnf.MkLit(0, true))
-	res := Solve(f, nil, time.Second)
+	res := solveWithin(f, nil, time.Second)
 	if res.Status != sat.Unsat {
 		t.Fatalf("status %v", res.Status)
 	}
-	if res.Stats != (Stats{}) {
+	if res.Stats != (sat.Stats{}) {
 		t.Fatalf("trivial refutation carries stats: %+v", res.Stats)
 	}
 }
@@ -202,7 +190,7 @@ func TestPortfolioWalkSATMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	inst := satgen.RandomKSAT(40, 3, 3.0, rng)
 	workers := []Worker{{Name: "walksat", WalkSAT: &walksat.Options{Seed: 7, MaxFlips: 5_000_000}}}
-	res := Solve(inst.Formula, workers, 30*time.Second)
+	res := solveWithin(inst.Formula, workers, 30*time.Second)
 	if res.Status == sat.Sat {
 		if res.Winner != "walksat" {
 			t.Fatalf("winner %q", res.Winner)
@@ -220,7 +208,7 @@ func TestPortfolioWalkSATMember(t *testing.T) {
 // silent.
 func TestPortfolioUnsatWithWalkSAT(t *testing.T) {
 	inst := satgen.Pigeonhole(6, 5)
-	res := Solve(inst.Formula, DefaultWorkers(), 30*time.Second)
+	res := solveWithin(inst.Formula, DefaultWorkers(), 30*time.Second)
 	if res.Status != sat.Unsat {
 		t.Fatalf("status %v (winner %s)", res.Status, res.Winner)
 	}

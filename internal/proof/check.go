@@ -6,6 +6,9 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cnf"
 	"repro/internal/gf2"
@@ -36,25 +39,40 @@ type CheckResult struct {
 // which are generally not RUP) are verified by GF(2) row-space membership
 // against the formula's XOR constraints.
 func Check(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(256)
-	if looksBinary(head) {
+	br := bufio.NewReaderSize(r, sniffLen)
+	if head, _ := br.Peek(sniffLen); looksBinary(head) {
 		return CheckBinary(f, br)
 	}
 	return CheckText(f, br)
 }
 
-// looksBinary reports whether a proof prefix is in the binary form: text
-// DRAT is pure printable ASCII plus whitespace, while every nonempty
-// binary record ends with a 0x00 byte.
+// sniffLen is how many leading bytes of a proof Check reads to pick its
+// form.
+const sniffLen = 4096
+
+// looksBinary reports whether a proof prefix is in the binary form. A
+// binary proof starts with a record tag (a, d or x) and ends each record
+// with a 0x00 byte. A text proof holds only the tokens d and x, decimal
+// literals and the spaces bufio.ScanWords skips (unicode.IsSpace), so it
+// never starts with a and never holds a 0x00 byte. A prefix that starts
+// with d or x is therefore binary as soon as it holds a rune no text
+// proof holds; a rune cut off by the end of head counts as text. Only 420
+// literals have a varint that reads as text, 1,600 bytes in all, so a
+// binary first record that repeats no literal shows a non-text rune, its
+// 0x00 at the latest, within sniffLen bytes.
 func looksBinary(head []byte) bool {
-	for _, b := range head {
-		if b == 0x00 || b >= 0x80 {
+	if len(head) == 0 || head[0] != 'a' && head[0] != 'd' && head[0] != 'x' {
+		return false
+	}
+	for len(head) > 0 {
+		r, n := utf8.DecodeRune(head)
+		if r == utf8.RuneError && !utf8.FullRune(head) {
+			return false
+		}
+		if !unicode.IsSpace(r) && !strings.ContainsRune("0123456789+-dx", r) {
 			return true
 		}
-		if b < 0x20 && b != '\n' && b != '\r' && b != '\t' {
-			return true
-		}
+		head = head[n:]
 	}
 	return false
 }

@@ -18,8 +18,8 @@ import (
 // pointers. Check must give the same results and error texts
 // (FuzzCheckMatchesReference).
 func refCheck(f *cnf.Formula, r io.Reader) (*CheckResult, error) {
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(256)
+	br := bufio.NewReaderSize(r, sniffLen)
+	head, _ := br.Peek(sniffLen)
 	if looksBinary(head) {
 		return refCheckBinary(f, br)
 	}

@@ -70,6 +70,13 @@ func TestCheckTable(t *testing.T) {
 		// both would read as the literal 2, and the square would verify.
 		{"text-literal-beyond-lit", square, "2147483650 0\n0\n", false, true},
 		{"binary-literal-beyond-lit", square, "a\x84\x80\x80\x80\x10\x00a\x00", false, true},
+		// bufio.ScanWords splits text on these too, so they are text, not
+		// the control or high bytes of a binary proof.
+		{"vertical-tab-separated", square, "2\v0\v0\v", true, false},
+		{"form-feed-separated", square, "2\f0\f0\f", true, false},
+		{"next-line-separated", square, "2\u00850\u00850\u0085", true, false},
+		{"no-break-space-separated", square, "2\u00a00\u00a00\u00a0", true, false},
+		{"deletion-first-no-break-space", impl2, "d\u00a01\u00a03\u00a00\u00a02\u00a00", false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

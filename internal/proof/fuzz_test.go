@@ -1,9 +1,14 @@
 package proof
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cnf"
 	"repro/internal/sat"
@@ -207,4 +212,172 @@ func encodeFormula(f *cnf.Formula) []byte {
 		}
 	}
 	return spec
+}
+
+// FuzzCheckPicksReader checks the form Check picks: on a text proof,
+// whatever spaces bufio.ScanWords skips separate its tokens, Check gives
+// CheckText's result and error, and on the binary writer's output of the
+// same records it gives CheckBinary's. The records come from data: a kind
+// byte, a length byte, then a byte per literal that draws a small variable
+// or one of the literals whose varint reads as text, and a byte per token
+// that picks its separator and spelling.
+func FuzzCheckPicksReader(f *testing.F) {
+	spaces := scanWordsSpaces()
+	for _, sp := range spaces {
+		if r, _ := utf8.DecodeRuneInString(sp); !unicode.IsSpace(r) {
+			f.Fatalf("bufio.ScanWords splits on %U, unicode.IsSpace does not", r)
+		}
+	}
+	if n := countIsSpace(); n != len(spaces) {
+		f.Fatalf("unicode.IsSpace holds for %d runes, bufio.ScanWords splits on %d", n, len(spaces))
+	}
+	// The square's proof "2 0 0" separated by \v, \f, U+0085 and U+00A0.
+	for _, sp := range []byte{2, 3, 6, 7} {
+		f.Add([]byte{0, 1, 2, 0, sp, sp, 0, 0, sp})
+	}
+	// A deletion first, of literals whose varints read as text, spelt with
+	// a sign and with leading zeros and separated by U+00A0.
+	f.Add([]byte{1, 2, 0x81, 0x82, 7, 1, 7, 2, 7, 7})
+	// A justification first, of 3-, 4- and 5-byte literals.
+	f.Add([]byte{2, 3, 0x94, 0x95, 0x96, 8, 0, 9, 0, 10, 0, 11, 12})
+	// A long deletion first, its literals all text-like.
+	long := []byte{1, 31}
+	for i := 0; i < 31; i++ {
+		long = append(long, 0x80+byte(i))
+	}
+	f.Add(long)
+	formula := phpFuzz()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		text, bin := renderRecords(data, spaces)
+		for _, form := range []struct {
+			name   string
+			proof  []byte
+			reader func(*cnf.Formula, io.Reader) (*CheckResult, error)
+		}{
+			{"text", text, CheckText},
+			{"binary", bin, CheckBinary},
+		} {
+			got, gotErr := Check(formula, bytes.NewReader(form.proof))
+			want, wantErr := form.reader(formula, bytes.NewReader(form.proof))
+			switch {
+			case (gotErr == nil) != (wantErr == nil):
+				t.Fatalf("%s %q: Check error %v, reader %v", form.name, form.proof, gotErr, wantErr)
+			case gotErr != nil && gotErr.Error() != wantErr.Error():
+				t.Fatalf("%s %q: Check error %q, reader %q", form.name, form.proof, gotErr, wantErr)
+			case gotErr == nil && *got != *want:
+				t.Fatalf("%s %q: Check %+v, reader %+v", form.name, form.proof, *got, *want)
+			}
+		}
+	})
+}
+
+// scanWordsSpaces lists, as strings, every rune bufio.ScanWords splits
+// on, found by asking it.
+func scanWordsSpaces() []string {
+	var out []string
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !utf8.ValidRune(r) {
+			continue
+		}
+		sp := string(r)
+		if _, tok, _ := bufio.ScanWords([]byte("1"+sp+"2"), true); string(tok) == "1" {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// countIsSpace counts the runes unicode.IsSpace holds for, which
+// looksBinary takes as the text separators.
+func countIsSpace() int {
+	n := 0
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if unicode.IsSpace(r) {
+			n++
+		}
+	}
+	return n
+}
+
+// textLikeLits are literals whose binary varints read as text: the codes
+// (literal + 2) of the ASCII digits, signs, tags and spaces, and the
+// smallest 3-, 4- and 5-byte ones.
+var textLikeLits = func() []cnf.Lit {
+	var out []cnf.Lit
+	for _, c := range "\t\n\v\f\r +-0123456789dx" {
+		out = append(out, cnf.Lit(c-2))
+	}
+	return append(out, 148162-2, 18874466-2, 2427486914-2)
+}()
+
+// renderRecords decodes proof records from data and writes them as text,
+// separated by spaces[i] for data-chosen i, and through the binary writer.
+func renderRecords(data []byte, spaces []string) (text, bin []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var tb strings.Builder
+	var bb bytes.Buffer
+	bw := NewBinaryWriter(&bb)
+	sep := func() {
+		b := next()
+		tb.WriteString(spaces[int(b)%len(spaces)])
+		if b&0x80 != 0 {
+			tb.WriteString(spaces[int(b>>1)%len(spaces)])
+		}
+	}
+	if len(data) > 0 && data[0] >= 0xf0 {
+		sep() // a proof may start with spaces
+	}
+	var lits []cnf.Lit
+	for recs := 0; len(data) > 0 && recs < 64; recs++ {
+		kind := "adx"[next()%3]
+		lits = lits[:0]
+		for n := next() % 32; n > 0; n-- {
+			b := next()
+			if b&0x80 != 0 {
+				lits = append(lits, textLikeLits[int(b&0x7f)%len(textLikeLits)])
+			} else {
+				lits = append(lits, cnf.Lit(b&0x0f))
+			}
+		}
+		switch kind {
+		case 'a':
+			bw.Learn(lits)
+		case 'd':
+			bw.Delete(lits)
+			tb.WriteByte('d')
+			sep()
+		case 'x':
+			bw.Justify(lits)
+			tb.WriteByte('x')
+			sep()
+		}
+		for _, l := range lits {
+			d := l.Dimacs()
+			if d < 0 {
+				tb.WriteByte('-')
+				d = -d
+			}
+			switch next() % 4 {
+			case 1:
+				tb.WriteByte('+')
+			case 2:
+				tb.WriteString("00")
+			}
+			tb.WriteString(strconv.Itoa(d))
+			sep()
+		}
+		tb.WriteByte('0')
+		sep()
+	}
+	if err := bw.Flush(); err != nil {
+		panic(err)
+	}
+	return []byte(tb.String()), bb.Bytes()
 }

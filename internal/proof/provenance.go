@@ -80,9 +80,6 @@ func (lg *Ledger) Append(r Record) int {
 // Len is the total number of records, inputs included.
 func (lg *Ledger) Len() int { return len(lg.recs) }
 
-// Inputs is the number of seeded input records.
-func (lg *Ledger) Inputs() int { return lg.inputs }
-
 // At returns record i.
 func (lg *Ledger) At(i int) Record { return lg.recs[i] }
 

@@ -221,11 +221,8 @@ func refute(original *anf.System, rec Record, opts VerifyOptions, why string) (V
 	if !s.AddFormula(f) {
 		return VerdictEntailed, "refutation UNSAT at clause insertion (" + why + ")"
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	switch s.SolveLimitedCtx(ctx, opts.RefuteBudget) {
+	s.SetInterrupt(opts.Context)
+	switch s.SolveLimited(opts.RefuteBudget) {
 	case sat.Unsat:
 		return VerdictEntailed, "SAT refutation proved entailment (" + why + ")"
 	case sat.Sat:

@@ -42,8 +42,9 @@ func TestSolveCtxCancelledBeforeStart(t *testing.T) {
 	s.AddFormula(inst.Formula)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	s.SetInterrupt(ctx)
 	start := time.Now()
-	if st := s.SolveCtx(ctx); st != Unknown {
+	if st := s.Solve(); st != Unknown {
 		t.Fatalf("cancelled solve returned %v", st)
 	}
 	if d := time.Since(start); d > 2*time.Second {
@@ -51,8 +52,8 @@ func TestSolveCtxCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestSolveCtxMidRestart cancels after a fixed number of interrupt polls,
-// which land every ~256 conflicts and at restart boundaries — i.e. the
+// TestSolveCtxMidRestart cancels after a fixed number of context polls,
+// which land every 256 conflicts and at restart boundaries — i.e. the
 // cancellation arrives mid-search, across restarts.
 func TestSolveCtxMidRestart(t *testing.T) {
 	for _, trigger := range []int{1, 2, 5, 20} {
@@ -60,11 +61,12 @@ func TestSolveCtxMidRestart(t *testing.T) {
 		s := New(DefaultOptions(ProfileMiniSat))
 		s.AddFormula(inst.Formula)
 		ctx := newCountingCtx(trigger)
-		if st := s.SolveCtx(ctx); st != Unknown {
+		s.SetInterrupt(ctx)
+		if st := s.Solve(); st != Unknown {
 			t.Fatalf("trigger %d: cancelled solve returned %v", trigger, st)
 		}
 		// After the trigger fired, the solver may poll only a bounded number
-		// of further times before giving up: once per ~256 conflicts plus
+		// of further times before giving up: once per 256 conflicts plus
 		// once per restart boundary, and it must stop at the first positive
 		// poll. Allow a small slack for the restart-boundary double checks.
 		if extra := ctx.polls - trigger; extra > 4 {
@@ -78,8 +80,9 @@ func TestSolveCtxWallClockBound(t *testing.T) {
 	s := New(DefaultOptions(ProfileMiniSat))
 	s.AddFormula(inst.Formula)
 	ctx, cancel := context.WithCancel(context.Background())
+	s.SetInterrupt(ctx)
 	done := make(chan Status, 1)
-	go func() { done <- s.SolveCtx(ctx) }()
+	go func() { done <- s.Solve() }()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
@@ -92,41 +95,77 @@ func TestSolveCtxWallClockBound(t *testing.T) {
 	}
 }
 
-// The hook must survive across solve calls (unlike the one-shot Interrupt
-// flag) and must not poison a solver whose context is still live.
+// A context deadline, with nobody calling cancel, stops a budgetless
+// SolveLimited: the worker node and the Table II runner bound their
+// solves this way.
+func TestSolveLimitedStopsAtDeadline(t *testing.T) {
+	inst := satgen.Pigeonhole(12, 11)
+	s := New(DefaultOptions(ProfileMiniSat))
+	s.AddFormula(inst.Formula)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	s.SetInterrupt(ctx)
+	done := make(chan Status, 1)
+	go func() { done <- s.SolveLimited(-1) }()
+	select {
+	case st := <-done:
+		if st != Unknown {
+			t.Fatalf("solve past its deadline returned %v", st)
+		}
+		if ctx.Err() != context.DeadlineExceeded {
+			t.Fatalf("solve returned before the deadline: ctx.Err() = %v", ctx.Err())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("solver did not stop within 2s of its deadline")
+	}
+}
+
+// The installed context must survive across solve calls and must not
+// poison a solver once it is removed or while it is still live.
 func TestSetInterruptPersistsAcrossSolves(t *testing.T) {
 	inst := satgen.Pigeonhole(12, 11)
 	s := New(DefaultOptions(ProfileMiniSat))
 	s.AddFormula(inst.Formula)
-	stop := false
-	s.SetInterrupt(func() bool { return stop })
-	stop = true
+	ctx, cancel := context.WithCancel(context.Background())
+	s.SetInterrupt(ctx)
+	cancel()
 	for i := 0; i < 2; i++ {
 		if st := s.SolveLimited(-1); st != Unknown {
-			t.Fatalf("solve %d with active hook returned %v", i, st)
+			t.Fatalf("solve %d with a cancelled context returned %v", i, st)
 		}
 	}
-	stop = false
-	s.SetInterrupt(nil)
-	if st := s.SolveLimited(100); st != Unknown {
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for _, c := range []context.Context{nil, live} {
+		s.SetInterrupt(c)
+		before := s.Conflicts
 		// Budget-bounded solve on a hard instance: Unknown is the expected
-		// verdict; the point is that it ran (no stale interrupt).
-		t.Logf("status %v", st)
+		// verdict; the point is that it ran its whole budget.
+		if st := s.SolveLimited(100); st != Unknown {
+			t.Fatalf("budgeted solve returned %v", st)
+		}
+		if ran := s.Conflicts - before; ran < 100 {
+			t.Fatalf("solve stopped after %d of 100 conflicts with no cancellation", ran)
+		}
 	}
 }
 
-// SolveLimitedCtx with a background context must behave exactly like
-// SolveLimited (no hook overhead path taken).
+// A context that can never be cancelled must leave the search exactly as
+// it is without one.
 func TestSolveCtxBackgroundEquivalence(t *testing.T) {
 	inst := satgen.ParityChain(16, 18, 3, true, rand.New(rand.NewSource(9)))
 	a := New(DefaultOptions(ProfileMiniSat))
 	a.AddFormula(inst.Formula.Clone())
 	b := New(DefaultOptions(ProfileMiniSat))
 	b.AddFormula(inst.Formula.Clone())
+	b.SetInterrupt(context.Background())
 	stA := a.Solve()
-	stB := b.SolveCtx(context.Background())
+	stB := b.Solve()
 	if stA != stB {
-		t.Fatalf("Solve=%v SolveCtx(background)=%v", stA, stB)
+		t.Fatalf("Solve=%v Solve with background context=%v", stA, stB)
+	}
+	if sa, sb := a.Snapshot(), b.Snapshot(); sa != sb {
+		t.Fatalf("counters differ:\n%v\n%v", sa, sb)
 	}
 }
 
@@ -134,7 +173,9 @@ func TestProbeLiteralsInterrupt(t *testing.T) {
 	inst := satgen.Pigeonhole(8, 7)
 	s := New(DefaultOptions(ProfileMiniSat))
 	s.AddFormula(inst.Formula)
-	s.SetInterrupt(func() bool { return true })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.SetInterrupt(ctx)
 	start := time.Now()
 	res := s.ProbeLiterals(0)
 	if res.Unsat {
@@ -145,5 +186,27 @@ func TestProbeLiteralsInterrupt(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("interrupted probe took %v", d)
+	}
+}
+
+// A passed context deadline stops probing at its first poll, while the
+// same probe without it examines every variable.
+func TestProbeLiteralsStopsAtDeadline(t *testing.T) {
+	inst := satgen.Pigeonhole(8, 7)
+	full := New(DefaultOptions(ProfileMiniSat))
+	full.AddFormula(inst.Formula.Clone())
+	want := full.ProbeLiterals(0).Probed
+
+	s := New(DefaultOptions(ProfileMiniSat))
+	s.AddFormula(inst.Formula.Clone())
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s.SetInterrupt(ctx)
+	res := s.ProbeLiterals(0)
+	if res.Unsat {
+		t.Fatal("probe past its deadline reported UNSAT")
+	}
+	if res.Probed != 0 || want == 0 {
+		t.Fatalf("probe past its deadline examined %d variables (%d without one)", res.Probed, want)
 	}
 }

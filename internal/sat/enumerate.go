@@ -6,7 +6,9 @@ import "repro/internal/cnf"
 // when max ≤ 0), restricted to the first nVars variables: two models that
 // agree on those variables count as one. Enumeration works by adding
 // blocking clauses, so the solver is consumed — clone the formula into a
-// fresh solver if it is still needed.
+// fresh solver if it is still needed. Once the context installed with
+// SetInterrupt is done, it returns the models found so far: a solve that
+// finds a model without a conflict never polls it, so the loop does.
 //
 // This supports the paper's §V observation that Bosphorus "can
 // continuously constrain the solution space without committing to one
@@ -19,7 +21,7 @@ func (s *Solver) EnumerateModels(nVars int, max int) [][]bool {
 	}
 	var out [][]bool
 	for max <= 0 || len(out) < max {
-		if s.Solve() != Sat {
+		if s.interrupted() || s.Solve() != Sat {
 			break
 		}
 		m := s.Model()

@@ -2,7 +2,7 @@ package sat
 
 import "repro/internal/cnf"
 
-// ClauseExchange is the structural clause-sharing hook for portfolio and
+// ClauseExchange is the structural clause-sharing hook for
 // cube-and-conquer solving. Like ProofWriter it is deliberately small and
 // declared here so the solver does not import the implementation
 // (internal/share provides the lock-free ring buffer that satisfies it).

@@ -95,7 +95,7 @@ func (s *Solver) ProbeLiterals(maxVars int) *ProbeResult {
 		// Probing runs one propagation pair per variable, which adds up on
 		// service-sized formulas; honour interruption between variables so a
 		// cancelled job does not hold its worker through the whole sweep.
-		if res.Probed%64 == 0 && s.deadlineExpired() {
+		if res.Probed%64 == 0 && s.interrupted() {
 			break
 		}
 		if s.assigns[v] != lUndef {

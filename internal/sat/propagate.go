@@ -10,7 +10,7 @@ import "repro/internal/cnf"
 //
 //bosphorus:hotpath unit-propagation inner loop; PR-6 alloc-free result
 func (s *Solver) propagate() ClauseRef {
-	//lint:ignore ctxpoll propagation reaches a joint fixed point within the current trail (qhead catches up, gauss.advance stops progressing); the search loop above polls the interrupt hook
+	//lint:ignore ctxpoll propagation reaches a joint fixed point within the current trail (qhead catches up, gauss.advance stops progressing); the search loop above polls the stop signal
 	for {
 		for s.qhead < len(s.trail) {
 			p := s.trail[s.qhead] // p is now true; scan watchers of p

@@ -94,7 +94,7 @@ func (s *Solver) ProbeScores(maxVars int) []ProbeScore {
 		if maxVars > 0 && len(out) >= maxVars {
 			break
 		}
-		if len(out)%64 == 63 && s.deadlineExpired() {
+		if len(out)%64 == 63 && s.interrupted() {
 			break
 		}
 		if s.assigns[v] != lUndef {

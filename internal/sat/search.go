@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"sort"
-	"time"
 
 	"repro/internal/cnf"
 )
@@ -27,56 +26,23 @@ func luby(x uint64) uint64 {
 // Solve runs the solver to completion (no conflict budget).
 func (s *Solver) Solve() Status { return s.SolveLimited(-1) }
 
-// SetDeadline makes subsequent solve calls return Unknown once the
-// wall-clock deadline passes (checked between restarts and periodically
-// during search). The zero time clears the deadline.
-func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
-
-// Interrupt asynchronously stops an in-progress solve; it returns Unknown
-// shortly after. Safe to call from another goroutine (the portfolio
-// runner's cancellation path). The flag clears when the next solve
-// starts.
-func (s *Solver) Interrupt() { s.interrupted.Store(true) }
-
-// SetInterrupt installs a hook polled at the same cadence as the deadline
-// (every few hundred conflicts and at restart boundaries); returning true
-// makes the current and future solve calls stop with Unknown. A nil hook
-// removes it. Unlike Interrupt, the hook is not cleared when a solve
-// starts, so a persistent cancellation source (a context, a shared stop
-// flag) needs to be wired only once. Not safe to call concurrently with a
-// running solve — install the hook before handing the solver to a worker.
-func (s *Solver) SetInterrupt(hook func() bool) { s.interruptHook = hook }
-
-// SolveCtx is Solve bound to a context: the solve stops with Unknown soon
-// after ctx is cancelled or its deadline passes.
-func (s *Solver) SolveCtx(ctx context.Context) Status { return s.SolveLimitedCtx(ctx, -1) }
-
-// SolveLimitedCtx is SolveLimited bound to a context. The context is
-// polled through the interrupt-hook path (every few hundred conflicts and
-// at restart boundaries), composing with any hook installed via
-// SetInterrupt.
-func (s *Solver) SolveLimitedCtx(ctx context.Context, conflictBudget int64) Status {
-	if ctx == nil || ctx.Done() == nil {
-		return s.SolveLimited(conflictBudget)
+// SetInterrupt installs ctx as the solver's stop signal. Once ctx is
+// cancelled or its deadline passes, the running solve and every later one
+// return Unknown, and ProbeLiterals, ProbeScores and EnumerateModels
+// return early. The solver polls ctx.Err every 256 conflicts, at each
+// restart, every 64 probed variables and before each enumerated model; it
+// never reads the clock itself. The context stays installed across
+// solves, and nil removes it. Not safe to call concurrently with a
+// running solve: install it before handing the solver to a worker.
+func (s *Solver) SetInterrupt(ctx context.Context) {
+	s.stopErr = nil
+	if ctx != nil && ctx.Done() != nil {
+		s.stopErr = ctx.Err
 	}
-	prev := s.interruptHook
-	s.interruptHook = func() bool {
-		return ctx.Err() != nil || (prev != nil && prev())
-	}
-	defer func() { s.interruptHook = prev }()
-	return s.SolveLimited(conflictBudget)
 }
 
-func (s *Solver) deadlineExpired() bool {
-	if s.interrupted.Load() {
-		return true
-	}
-	if s.interruptHook != nil && s.interruptHook() {
-		return true
-	}
-	//lint:ignore determinism SetDeadline is an explicitly opted-in wall-clock cutoff; reproducible runs bound the search with conflict budgets instead
-	return !s.deadline.IsZero() && time.Now().After(s.deadline)
-}
+// interrupted reports whether the installed context is done.
+func (s *Solver) interrupted() bool { return s.stopErr != nil && s.stopErr() != nil }
 
 // problemLoad is the problem size the learnt-clause cap scales with. A
 // packed parity clause over w variables stands in for the 2^(w-1) CNF
@@ -104,7 +70,6 @@ func (s *Solver) SolveLimited(conflictBudget int64) Status {
 	if !s.ok {
 		return Unsat
 	}
-	s.interrupted.Store(false)
 	s.model = nil
 	s.cancelUntil(0)
 	if conf := s.propagate(); conf != NullRef {
@@ -144,7 +109,7 @@ func (s *Solver) SolveLimited(conflictBudget int64) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		if s.deadlineExpired() {
+		if s.interrupted() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -199,7 +164,7 @@ func (s *Solver) search(restartBudget, globalBudget int64) (Status, int64) {
 			if conflicts >= restartBudget || (globalBudget >= 0 && conflicts >= globalBudget) {
 				return Unknown, conflicts
 			}
-			if conflicts%256 == 0 && s.deadlineExpired() {
+			if conflicts%256 == 0 && s.interrupted() {
 				return Unknown, conflicts
 			}
 			continue

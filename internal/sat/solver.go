@@ -2,8 +2,6 @@ package sat
 
 import (
 	"math/rand"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cnf"
 )
@@ -74,23 +72,18 @@ type Solver struct {
 
 	gauss *gauss // XOR propagator, nil unless enabled
 
-	ok       bool // false once UNSAT is established at level 0
-	model    []lbool
-	deadline time.Time
+	ok    bool // false once UNSAT is established at level 0
+	model []lbool
 
 	// Assumption solving (SolveAssuming).
 	assumptions   []cnf.Lit
 	failedAssumps []cnf.Lit
 
-	// interrupted is set asynchronously by Interrupt and polled by the
-	// search loop; solving returns Unknown soon after.
-	interrupted atomic.Bool
-
-	// interruptHook, when non-nil, is polled alongside the deadline (every
-	// few hundred conflicts and at every restart boundary); returning true
-	// stops the solve with Unknown. This is the cancellation plug point the
-	// service stack uses to thread context.Context down to the search loop.
-	interruptHook func() bool
+	// stopErr is the Err method of the context SetInterrupt installed, nil
+	// when there is none or it can never be cancelled. Keeping the method
+	// rather than the context means no Solver method looks to ctxpoll as
+	// if it received a cancellation signal it must poll.
+	stopErr func() error
 
 	// Learnt-fact harvest for Bosphorus (§II-D): all unit facts forced at
 	// level 0 and all learnt binary clauses, in learning order.

@@ -150,6 +150,26 @@ func TestCubeCoordinatorTimesOutWithoutNodes(t *testing.T) {
 	}
 }
 
+// A task's TimeoutMS bounds the node's solve: on a formula far too hard
+// for the budget the node answers UNKNOWN soon after it, with the node's
+// own context still live.
+func TestNodeTaskTimeoutAnswersUnknown(t *testing.T) {
+	n := NewNode(NodeConfig{Coordinator: "http://127.0.0.1:1"})
+	task := CubeTask{
+		JobID:     "j",
+		Formula:   dimacsOf(t, satgen.Pigeonhole(12, 11).Formula),
+		TimeoutMS: 100,
+	}
+	start := time.Now()
+	res := n.solve(context.Background(), task)
+	if res.Status != "UNKNOWN" {
+		t.Fatalf("Status = %q, want UNKNOWN", res.Status)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("node took %v on a 100 ms task", d)
+	}
+}
+
 // Solo-role servers do not expose the coordination endpoints.
 func TestCubeEndpointsSoloRole(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})

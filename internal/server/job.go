@@ -286,7 +286,7 @@ func (jb *job) run(base core.Config, metrics *Metrics) *Response {
 		return jb.runCube(base)
 	}
 	if jb.kind == kindPortfolio {
-		res := portfolio.SolveContext(jb.ctx, jb.form, nil, 0)
+		res := portfolio.Solve(jb.ctx, jb.form, nil)
 		resp := &Response{
 			Status:    res.Status.String(),
 			Winner:    res.Winner,

@@ -151,9 +151,11 @@ func (n *Node) solve(ctx context.Context, task CubeTask) CubeResult {
 	}
 	ok := s.AddFormula(f)
 	if task.TimeoutMS > 0 {
-		s.SetDeadline(time.Now().Add(time.Duration(task.TimeoutMS) * time.Millisecond))
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(task.TimeoutMS)*time.Millisecond)
+		defer cancel()
 	}
-	s.SetInterrupt(func() bool { return ctx.Err() != nil })
+	s.SetInterrupt(ctx)
 
 	st := sat.Unsat
 	if ok {

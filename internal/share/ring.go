@@ -1,5 +1,5 @@
 // Package share provides the bounded, lock-free clause-exchange ring that
-// backs portfolio and cube-and-conquer clause sharing. Producers publish
+// backs cube-and-conquer clause sharing. Producers publish
 // low-LBD learnt clauses into a fixed-size ring of single-writer slots;
 // each consumer follows the ring with a private cursor. The ring is lossy
 // by construction: a slow consumer skips entries that have been lapped,
